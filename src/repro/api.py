@@ -31,14 +31,12 @@ worker.  Observability switches travel together in one
 This module is the *supported* API surface -- :func:`run`,
 :func:`sweep`, :func:`bench_record` and :func:`render_report` are the
 only entry points other code should build on.  ``repro.runner.engine``
-internals may reshuffle between versions (the old
-``repro.runner.engine.run_kernel`` is a deprecated shim over
-:func:`run`, slated for removal one release after the deprecation
-warning shipped), but these signatures only grow.  The ``repro serve``
-job daemon (:mod:`repro.service`) is itself a client of exactly this
-facade: every job a worker executes goes through :func:`run` or the
-sweep driver, which is what lets executors, fault policies and the
-observability plane compose with the service for free.
+internals may reshuffle between versions, but these signatures only
+grow.  The ``repro serve`` job daemon (:mod:`repro.service`) is itself
+a client of exactly this facade: every job a worker executes goes
+through :func:`run` or the sweep driver, which is what lets executors,
+fault policies and the observability plane compose with the service
+for free.
 """
 
 from __future__ import annotations

@@ -38,8 +38,6 @@ bit-identical.
 Adapters must return an :class:`ExecutionResult`; the one-release
 ``(output, task_work)`` tuple compatibility window has closed, and
 :func:`as_execution_result` now rejects tuples with a :class:`TypeError`.
-(:class:`ExecutionResult` itself still *unpacks* like a 2-tuple so old
-consuming code keeps reading results naturally.)
 """
 
 from __future__ import annotations
@@ -47,7 +45,7 @@ from __future__ import annotations
 import abc
 import importlib
 import time
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -67,11 +65,6 @@ class ExecutionResult:
     kernel's natural unit -- the quantity Fig. 4 plots.  ``task_meta``
     optionally carries one small, JSON-serializable dict per task
     (seed counts, band widths, region coordinates, ...).
-
-    For compatibility with the retired ``(output, task_work)`` tuple
-    contract the result still unpacks like a 2-tuple::
-
-        output, task_work = bench.execute(workload)
     """
 
     output: Any
@@ -97,18 +90,6 @@ class ExecutionResult:
         exception from a reducer handed an empty list, tells the story.
         """
         return cls(output=[], task_work=[])
-
-    # -- legacy tuple protocol ----------------------------------------
-
-    def __iter__(self) -> Iterator[Any]:
-        yield self.output
-        yield self.task_work
-
-    def __len__(self) -> int:
-        return 2
-
-    def __getitem__(self, index: int) -> Any:
-        return (self.output, self.task_work)[index]
 
 
 def as_execution_result(value: Any, kernel: str = "<unknown>") -> ExecutionResult:
@@ -175,7 +156,7 @@ class Benchmark(abc.ABC):
         """Number of independent tasks in ``workload``.
 
         ``None`` means the adapter does not expose task sharding; the
-        engine then falls back to calling :meth:`execute` serially.
+        engine rejects such an adapter with a :class:`TypeError`.
         """
         return None
 

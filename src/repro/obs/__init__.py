@@ -33,9 +33,10 @@ into:
   (``obs report --service``).
 
 The tracer and the registry share one activation model: the engine (or
-a test) installs them process-wide with :func:`activated` /
-:func:`activated_metrics`, and kernels emit through the
-``kernel_*`` hooks, which cost one global read when observability is
+a test) installs them for the calling thread with :func:`activated` /
+:func:`activated_metrics` (``contextvars`` slots, so concurrent runs in
+one process stay apart), and kernels emit through the ``kernel_*``
+hooks, which cost one context-variable read when observability is
 off.  :mod:`repro.obs.history`, :mod:`repro.obs.report`,
 :mod:`repro.obs.live`, :mod:`repro.obs.slo` and :mod:`repro.obs.fleet`
 are imported on demand (they pull in the run-record schema /

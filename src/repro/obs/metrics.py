@@ -20,17 +20,19 @@ Metric types
   addition), which is what regression tracking needs; bucket ``i``
   counts observations ``<= boundaries[i]``, with one overflow bucket.
 
-Like the tracer, the registry has a process-wide *active* slot:
-:func:`activated_metrics` installs one, and :func:`kernel_counter` /
-:func:`kernel_observe` are free-when-disabled hooks for kernel
-adapters.  Worker processes do not publish (metrics stay on the
-engine/serial path; spans are the cross-process signal).
+Like the tracer, the registry has a per-thread *active* slot (a
+:class:`contextvars.ContextVar`, so concurrent runs in one process keep
+their counters apart): :func:`activated_metrics` installs one, and
+:func:`kernel_counter` / :func:`kernel_observe` are free-when-disabled
+hooks for kernel adapters.  Worker processes do not publish (metrics
+stay on in-process runs; spans are the cross-process signal).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from contextlib import contextmanager
+from contextvars import ContextVar
 from typing import Any
 
 #: Default histogram boundaries for per-task work (kernel work units).
@@ -52,7 +54,9 @@ LATENCY_BUCKETS = (
     1.0, 2.5, 5.0, 10.0, 30.0, 60.0, 120.0, 300.0,
 )
 
-_ACTIVE: "MetricsRegistry | None" = None
+_ACTIVE: "ContextVar[MetricsRegistry | None]" = ContextVar(
+    "repro_metrics", default=None
+)
 
 
 class Counter:
@@ -237,25 +241,23 @@ def quantile_from_dict(doc: dict[str, Any], q: float) -> float | None:
 
 
 def current_metrics() -> MetricsRegistry | None:
-    """The process-wide active registry, or ``None`` when disabled."""
-    return _ACTIVE
+    """This thread's active registry, or ``None`` when disabled."""
+    return _ACTIVE.get()
 
 
 @contextmanager
 def activated_metrics(registry: MetricsRegistry):
-    """Install ``registry`` as the current one for the managed block."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry
+    """Install ``registry`` as this thread's current one for the block."""
+    token = _ACTIVE.set(registry)
     try:
         yield registry
     finally:
-        _ACTIVE = previous
+        _ACTIVE.reset(token)
 
 
 def kernel_counter(name: str, n: int | float = 1) -> None:
     """Increment counter ``name`` in the active registry (free when off)."""
-    registry = _ACTIVE
+    registry = _ACTIVE.get()
     if registry is not None:
         registry.counter(name).inc(n)
 
@@ -264,6 +266,6 @@ def kernel_observe(
     name: str, value: float, boundaries: tuple[float, ...] = WORK_BUCKETS
 ) -> None:
     """Observe ``value`` in histogram ``name`` (free when off)."""
-    registry = _ACTIVE
+    registry = _ACTIVE.get()
     if registry is not None:
         registry.histogram(name, boundaries).observe(value)

@@ -12,21 +12,23 @@ Three layers:
   events and counter samples.  Thread-safe (one lock around the append;
   nesting is reconstructed from timestamps per ``(pid, tid)`` track,
   which is exactly how the Chrome viewer renders it).
-* module-level *activation* -- :func:`activated` installs a tracer as
-  the process-wide current one; :func:`kernel_span` /
-  :func:`kernel_instant` are the no-overhead hooks kernel adapters call
-  without threading a tracer argument through the Benchmark protocol.
-  With no active tracer they return a shared ``nullcontext`` / return
-  immediately, so tracing disabled costs one global read per shard.
+* *activation* -- :func:`activated` installs a tracer as the current
+  one for the calling thread (a :class:`contextvars.ContextVar`, so
+  concurrent runs in one process never record into each other's
+  tracer); :func:`kernel_span` / :func:`kernel_instant` are the
+  no-overhead hooks kernel adapters call without threading a tracer
+  argument through the Benchmark protocol.  With no active tracer they
+  return a shared ``nullcontext`` / return immediately, so tracing
+  disabled costs one context-variable read per shard.
 * export -- :meth:`Tracer.to_chrome` / :meth:`Tracer.export` emit the
   trace-event format, and :func:`chrome_events_from_record` renders a
   stored :class:`~repro.runner.record.RunRecord` chunk timeline
   (duration events per chunk plus a ``workers.active`` counter series)
   without needing a live tracer.
 
-Process-safety: worker processes each record into their own fresh
-tracer (see ``repro.runner.supervisor._execute_chunk``) and ship their span
-buffers back with the shard result; the engine merges them with
+Process-safety: every chunk records into its own fresh tracer (see
+:func:`repro.runner.worker.execute_chunk`) and ships the span buffer
+back with the shard result; the engine merges them with
 :meth:`Tracer.extend` at shard boundaries.  Timestamps are absolute
 ``time.perf_counter()`` readings -- comparable across forked (and, on
 mainstream platforms, spawned) processes because the clock is
@@ -40,6 +42,7 @@ import os
 import threading
 import time
 from contextlib import contextmanager, nullcontext
+from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -48,8 +51,8 @@ from repro.core.serialize import write_json
 
 _NULL_CONTEXT = nullcontext()
 
-#: Process-wide current tracer (``None`` = tracing disabled).
-_ACTIVE: "Tracer | None" = None
+#: The current thread's active tracer (``None`` = tracing disabled).
+_ACTIVE: "ContextVar[Tracer | None]" = ContextVar("repro_tracer", default=None)
 
 
 @dataclass
@@ -269,25 +272,23 @@ class Tracer:
 
 
 def current_tracer() -> Tracer | None:
-    """The process-wide active tracer, or ``None`` when disabled."""
-    return _ACTIVE
+    """This thread's active tracer, or ``None`` when disabled."""
+    return _ACTIVE.get()
 
 
 @contextmanager
 def activated(tracer: Tracer):
-    """Install ``tracer`` as the current one for the managed block."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = tracer
+    """Install ``tracer`` as this thread's current one for the block."""
+    token = _ACTIVE.set(tracer)
     try:
         yield tracer
     finally:
-        _ACTIVE = previous
+        _ACTIVE.reset(token)
 
 
 def kernel_span(name: str, cat: str = "kernel", **args: Any):
     """Span hook for kernel adapters; free when tracing is disabled."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is None:
         return _NULL_CONTEXT
     return tracer.span(name, cat=cat, **args)
@@ -295,7 +296,7 @@ def kernel_span(name: str, cat: str = "kernel", **args: Any):
 
 def kernel_instant(name: str, cat: str = "kernel", **args: Any) -> None:
     """Instant-event hook for kernel adapters; free when disabled."""
-    tracer = _ACTIVE
+    tracer = _ACTIVE.get()
     if tracer is not None:
         tracer.instant(name, cat=cat, **args)
 

@@ -38,7 +38,6 @@ from repro.runner.engine import (
     EngineRun,
     ParallelRunner,
     default_chunk_size,
-    run_kernel,
 )
 from repro.runner.executors import (
     ChunkEvent,
@@ -106,7 +105,6 @@ __all__ = [
     "make_executor",
     "register",
     "register_lazy",
-    "run_kernel",
 ]
 
 

@@ -16,10 +16,13 @@ with a ``type`` key.  One coordinator session per daemon at a time:
 
 * ``hello`` / ``ready`` -- version check plus the worker's
   ``perf_counter`` reading, from which the coordinator derives a
-  per-host clock offset so remote chunk timings, spans and telemetry
-  land on the coordinator's timeline;
-* ``workload`` / ``workload-ok`` -- the benchmark, prepared workload
-  and observability configuration, shipped once per run;
+  per-host clock offset (the fastest of :data:`CLOCK_SYNC_ROUNDS`
+  round trips) so remote chunk timings, spans and telemetry land on
+  the coordinator's timeline;
+* ``workload`` / ``workload-ok`` -- the run's
+  :class:`~repro.runner.worker.WorkerState` (benchmark, prepared
+  workload, fault plan and capture switches) as one object, shipped
+  once per run and held by the session, never in a module global;
 * ``chunk`` -> ``result`` | ``error`` -- one task range per message,
   echoing ``(ordinal, attempt)`` so deterministic fault injection and
   retry bookkeeping work exactly as they do in-process;
@@ -64,10 +67,9 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, ClassVar, Iterator
 
-from repro.core.benchmark import load_benchmark
 from repro.obs import events as ev
 from repro.obs.events import EventLog
 from repro.obs.trace import Span
@@ -77,10 +79,12 @@ from repro.runner.executors import (
     Executor,
     ExecutorCapabilities,
 )
-from repro.runner.worker import ChunkPayload, execute_chunk, set_worker_state
+from repro.runner.worker import ChunkPayload, WorkerState, execute_chunk
 
-#: Wire protocol version; bumped on incompatible frame changes.
-PROTOCOL_VERSION = 1
+#: Wire protocol version; bumped on incompatible frame changes.  v2
+#: ships the ``workload`` frame as one ``WorkerState`` and chunk
+#: payloads as ``ChunkPayload`` objects.
+PROTOCOL_VERSION = 2
 
 #: Frame header: 8-byte big-endian payload length.
 _HEADER = struct.Struct("!Q")
@@ -97,6 +101,10 @@ DEFAULT_HEARTBEAT_TIMEOUT = 10.0
 
 #: Per-host TCP connect budget, seconds.
 DEFAULT_CONNECT_TIMEOUT = 5.0
+
+#: ``hello``/``ready`` round trips per connect; the clock offset comes
+#: from the one with the shortest round-trip time.
+CLOCK_SYNC_ROUNDS = 5
 
 #: An idle host speculatively duplicates a chunk that has been in
 #: flight elsewhere for this long.
@@ -223,6 +231,7 @@ def _serve_session(conn: socket.socket) -> None:
         target=heartbeat_loop, name="repro-worker-heartbeat", daemon=True
     )
     heartbeat.start()
+    state: WorkerState | None = None
     try:
         while True:
             msg = recv_frame(conn)
@@ -256,24 +265,13 @@ def _serve_session(conn: socket.socket) -> None:
                         },
                     )
             elif kind == "workload":
-                bench = msg.get("bench")
-                if bench is None:
-                    bench = load_benchmark(msg["kernel"])
-                set_worker_state(
-                    bench,
-                    msg["workload"],
-                    msg["trace_enabled"],
-                    msg["fault_plan"],
-                    msg["profile_hz"],
-                    msg["telemetry_interval"],
-                    # .get keeps old coordinators speaking to new daemons
-                    # without a protocol bump
-                    msg.get("events_enabled", False),
-                )
+                state = msg["state"]
                 with send_lock:
                     send_frame(conn, {"type": "workload-ok"})
             elif kind == "chunk":
-                reply = _execute_remote_chunk(msg)
+                if state is None:
+                    raise ConnectionError("chunk frame before the workload frame")
+                reply = _execute_remote_chunk(state, msg)
                 with send_lock:
                     send_frame(conn, reply)
             else:
@@ -282,11 +280,11 @@ def _serve_session(conn: socket.socket) -> None:
         stop_heartbeat.set()
 
 
-def _execute_remote_chunk(msg: dict[str, Any]) -> dict[str, Any]:
+def _execute_remote_chunk(state: WorkerState, msg: dict[str, Any]) -> dict[str, Any]:
     start, stop = msg["start"], msg["stop"]
     ordinal, attempt = msg["ordinal"], msg["attempt"]
     try:
-        payload = execute_chunk(start, stop, ordinal, attempt)
+        payload = execute_chunk(state, start, stop, ordinal, attempt)
     except Exception as exc:  # noqa: BLE001 - forwarded to the coordinator
         return {
             "type": "error",
@@ -428,17 +426,7 @@ class DistributedExecutor(Executor):
 
     def open(self, context: ExecutionContext) -> None:
         self._event_log = context.events
-        workload_msg = {
-            "type": "workload",
-            "bench": context.bench,
-            "kernel": context.bench.name,
-            "workload": context.workload,
-            "trace_enabled": context.trace_enabled,
-            "fault_plan": context.fault_plan,
-            "profile_hz": context.profile_hz,
-            "telemetry_interval": context.telemetry_interval,
-            "events_enabled": context.events_enabled,
-        }
+        workload_msg = {"type": "workload", "state": context.worker_state()}
         errors: list[str] = []
         for spec in self.host_specs:
             try:
@@ -478,15 +466,20 @@ class DistributedExecutor(Executor):
         addr = parse_host(spec)
         sock = socket.create_connection(addr, timeout=self.connect_timeout)
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        t_send = time.perf_counter()
-        send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION})
-        ready = self._recv_skipping_heartbeats(sock)
-        t_recv = time.perf_counter()
-        if ready is None or ready.get("type") != "ready":
-            detail = (ready or {}).get("error", "no ready frame")
-            raise ConnectionError(f"handshake failed: {detail}")
-        # midpoint clock sync: good to ~RTT/2, plenty for timeline merge
-        offset = (t_send + t_recv) / 2.0 - ready["clock"]
+        best_rtt = float("inf")
+        for _ in range(CLOCK_SYNC_ROUNDS):
+            t_send = time.perf_counter()
+            send_frame(sock, {"type": "hello", "version": PROTOCOL_VERSION})
+            ready = self._recv_skipping_heartbeats(sock)
+            t_recv = time.perf_counter()
+            if ready is None or ready.get("type") != "ready":
+                detail = (ready or {}).get("error", "no ready frame")
+                raise ConnectionError(f"handshake failed: {detail}")
+            # midpoint clock sync is good to RTT/2, so keep the fastest
+            # round: one slow wake-up on a busy host skews it by ms
+            if t_recv - t_send < best_rtt:
+                best_rtt = t_recv - t_send
+                offset = (t_send + t_recv) / 2.0 - ready["clock"]
         send_frame(sock, workload_msg)
         ack = self._recv_skipping_heartbeats(sock)
         if ack is None or ack.get("type") != "workload-ok":
@@ -705,20 +698,20 @@ class DistributedExecutor(Executor):
 
     def _result_event(self, host: _Host, msg: dict[str, Any]) -> ChunkEvent:
         payload = self._rebase(host, msg["payload"])
-        chunk = (payload[0], payload[1])
+        chunk = (payload.start, payload.stop)
         with self._lock:
             if host.current is not None and host.current[0] == chunk:
                 host.current = None
         return ChunkEvent(
             kind="ok", chunk=chunk, attempt=msg.get("attempt", 0),
-            payload=payload, worker=host.label, pid=payload[3],
+            payload=payload, worker=host.label, pid=payload.pid,
         )
 
     def _rebase(self, host: _Host, payload: ChunkPayload) -> ChunkPayload:
         """Shift remote ``perf_counter`` readings onto our clock and
         stamp the payload with its host label."""
-        start, stop, result, pid, w0, w1, spans, obs, _ = payload
         off = host.clock_offset
+        spans, obs = payload.spans, payload.obs
         if spans:
             spans = [
                 Span(
@@ -736,8 +729,9 @@ class DistributedExecutor(Executor):
             buffered = obs.pop("events", None)
             if buffered and self._event_log is not None:
                 self._event_log.absorb(buffered, clock_offset=off, host=host.label)
-        return (
-            start, stop, result, pid, w0 + off, w1 + off, spans, obs, host.label
+        return replace(
+            payload, begin=payload.begin + off, end=payload.end + off,
+            spans=spans, host=host.label,
         )
 
     def _lose(self, host: _Host, reason: str) -> None:

@@ -11,13 +11,18 @@ results are merged back in task order through
 :meth:`Benchmark.merge_shards`, so parallel output is bit-identical to
 the serial path.
 
-Workers are forked *after* the workload is prepared, so they inherit it
-copy-on-write instead of re-pickling it per chunk; on platforms without
-``fork`` the workload is shipped once per worker as a process argument.
-Every run produces a :class:`~repro.runner.record.RunRecord` with the
-chunk trace, per-worker busy times and (optionally) the measured
-speedup over an in-process serial execution of the same prepared
-workload.
+Every task range runs through one function,
+:func:`repro.runner.worker.execute_chunk`, driven by one supervised
+dispatch loop over an :class:`~repro.runner.executors.Executor`.  With
+the default backend at ``jobs=1``, and for any workload of at most one
+task, the engine runs the whole workload in this process as one chunk
+``[0, n)`` through :class:`~repro.runner.executors.SerialExecutor`:
+no pool, no IPC, the workload passed by reference.  Pool workers get
+the workload as a process argument -- inherited copy-on-write under
+``fork``, pickled once per worker under ``spawn``.  Every run produces
+a :class:`~repro.runner.record.RunRecord` with the chunk trace,
+per-worker busy times and (optionally) the measured speedup over an
+in-process serial execution of the same prepared workload.
 
 Fault tolerance
 ---------------
@@ -29,10 +34,11 @@ bounded ``retries`` with exponential backoff
 and respawn, and an ``on_failure`` policy for chunks that exhaust
 their budget (fail fast, quarantine with a structured gap report, or
 re-execute serially in the parent).  When no worker pool can be
-created at all the engine *degrades* to in-process serial execution
-instead of failing, and marks the run record accordingly.  With a
-cache attached, ``resume=True`` checkpoints every completed chunk
-result so an interrupted run restarts only the unfinished shards.
+created, or every worker is lost, the engine *degrades* to the
+in-process one-chunk run instead of failing, and marks the run record
+accordingly.  With a cache attached, ``resume=True`` checkpoints every
+completed chunk result so an interrupted run restarts only the
+unfinished shards.
 Deterministic chaos for all of these paths comes from
 :class:`~repro.runner.faults.FaultPlan` injectors.
 
@@ -46,16 +52,16 @@ The engine is the root publisher of the :mod:`repro.obs` layer:
   store children, ``engine.serial_baseline``, ``engine.execute``,
   ``engine.merge``), one ``chunk[a:b)`` span per scheduled chunk on the
   owning worker's track, and a ``workers.active`` counter series.
-  While executing, the tracer is *activated* process-wide so kernel
-  adapters' :func:`~repro.obs.trace.kernel_span` regions record too;
-  worker processes buffer their spans locally and ship them back with
-  each chunk result, where the engine merges them at the shard
-  boundary.
+  Every chunk records kernel adapters'
+  :func:`~repro.obs.trace.kernel_span` regions into its own buffer and
+  ships it back with the chunk result, where the engine merges it at
+  the shard boundary.
 * Every run fills a :class:`~repro.obs.metrics.MetricsRegistry`
   (prepare/execute seconds, cache hits, tasks and work per second,
-  per-task-work and per-worker histograms; with ``instrument=True`` on
-  the serial path also the per-category dynamic op counts) and embeds
-  the snapshot in the run record (schema v2).
+  per-task-work and per-worker histograms).  In-process runs also
+  collect the kernels' own counters and, with ``instrument=True``, the
+  per-category dynamic op counts; the registry snapshot lands in the
+  run record (schema v2).
 * With ``profile=True`` a statistical sampling profiler
   (:mod:`repro.obs.profile`) runs around the ``prepare``, ``execute``
   and ``merge`` phases -- inside each worker process on the parallel
@@ -69,8 +75,8 @@ The engine is the root publisher of the :mod:`repro.obs` layer:
   (:mod:`repro.obs.telemetry`); the engine merges series per worker,
   embeds them in the record and publishes ``telemetry.*`` gauges.
 
-Tracing, metrics, profiling and telemetry are off by default and cost
-nothing beyond a few ``None`` checks on the serial fast path.
+Tracing, profiling and telemetry are off by default and cost nothing
+beyond a few ``None`` checks per chunk.
 """
 
 from __future__ import annotations
@@ -80,7 +86,7 @@ import platform
 import time
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.benchmark import (
@@ -109,23 +115,27 @@ from repro.obs.profile import (
 )
 from repro.obs.telemetry import (
     DEFAULT_INTERVAL,
-    TelemetrySampler,
     TelemetrySeries,
     publish_telemetry,
     telemetry_payload,
 )
 from repro.obs.trace import Span, Tracer, activated
 from repro.runner.cache import ShardCheckpoint, WorkloadCache
-from repro.runner.executors import ExecutionContext, Executor, make_executor
+from repro.runner.executors import (
+    ExecutionContext,
+    Executor,
+    SerialExecutor,
+    make_executor,
+)
 from repro.runner.faults import FaultPlan
 from repro.runner.record import ChunkTrace, RunRecord, WorkerStats
 from repro.runner.retry import BackoffPolicy
 from repro.runner.supervisor import (
     ON_FAILURE_CHOICES,
-    ChunkPayload,
     ChunkSupervisor,
     SupervisedExecution,
 )
+from repro.runner.worker import ChunkPayload, execute_chunk
 
 #: Chunks handed out per worker on average; OpenMP's dynamic default is
 #: chunk=1, but per-chunk IPC in Python argues for coarser grains while
@@ -162,7 +172,7 @@ class EngineRun:
 
 @dataclass
 class ObsCapture:
-    """Profiling/telemetry one execution path gathered.
+    """Profiling/telemetry merged from one execution's chunk payloads.
 
     ``profiles`` maps phase name to its sampled stacks; ``telemetry``
     maps worker index to that process's resource series; ``epoch`` is
@@ -181,8 +191,9 @@ class ParallelRunner:
     Parameters
     ----------
     jobs:
-        Worker processes.  ``1`` executes in-process through exactly the
-        serial path (no pool, no IPC).
+        Worker processes.  ``1`` with the default backend runs the whole
+        workload in-process as one chunk (no pool, no IPC; ``chunk_size``
+        is ignored).
     executor:
         Which execution backend dispatches chunks: a registered name
         (``"local"``, ``"serial"``, ``"distributed"`` or a third-party
@@ -203,9 +214,9 @@ class ParallelRunner:
         A :class:`~repro.obs.trace.Tracer` to record engine, chunk and
         kernel spans into (``None`` disables tracing).
     instrument:
-        Collect per-category dynamic op counts on the serial path and
-        publish them as ``ops.*`` counters.  Ignored on the parallel
-        path (instrumentation is not threaded through workers).
+        Collect per-category dynamic op counts on in-process runs and
+        publish them as ``ops.*`` counters.  Ignored when chunks run in
+        other processes (their counts never come back).
     timeout:
         Per-chunk wall-clock budget in seconds; a worker exceeding it
         is terminated and its chunk retried.  ``None`` disables.
@@ -385,6 +396,11 @@ class ParallelRunner:
         """Execute a prepared workload, sharded through the executor."""
         metrics = MetricsRegistry()
         n_tasks = bench.task_count(workload)
+        if n_tasks is None:
+            raise TypeError(
+                f"benchmark {bench.name!r} does not shard its tasks; the engine "
+                "runs kernels through task_count() and execute_shard()"
+            )
         jobs = self._effective_jobs()
         spec = self.executor
         executor_name = self._executor_name()
@@ -399,20 +415,21 @@ class ParallelRunner:
                 ev.RUN_STARTED, kernel=bench.name, size=size.value,
                 jobs=self.jobs, executor=executor_name,
             )
-        # the in-process fast path: unshardable workloads always, and the
-        # default backend at jobs=1 (no pool, no IPC, no chunking)
-        fast_serial = (
-            n_tasks is None
-            or n_tasks <= 1
-            or (executor_name == "local" and not isinstance(spec, Executor) and jobs == 1)
+        # the in-process fast path: workloads of at most one task always,
+        # and the default backend at jobs=1 -- one chunk, no pool, no IPC
+        in_process = n_tasks <= 1 or (
+            executor_name == "local" and not isinstance(spec, Executor) and jobs == 1
         )
-        executor: Executor | None = None
-        slots = 1
-        if not fast_serial:
+        if in_process:
+            executor: Executor = SerialExecutor()
+            slots = 1
+            chunk_size = max(1, n_tasks)
+        else:
             executor = make_executor(
                 spec, jobs=jobs, hosts=self.hosts, tracer=self.tracer
             )
             slots = max(1, executor.parallelism)
+            chunk_size = self._effective_chunk_size(n_tasks, slots)
         serial_seconds = None
         measure = (
             self.measure_serial
@@ -430,62 +447,51 @@ class ParallelRunner:
             phase_profiles["prepare"] = self._prepare_profile
         self._prepare_profile = None
 
-        supervised: SupervisedExecution | None = None
-        resumed_chunks = 0
+        self.events.emit(
+            ev.EXECUTE_STARTED, kernel=bench.name, executor=executor.name,
+            chunks=max(1, -(-n_tasks // chunk_size)), tasks=n_tasks,
+            chunk_size=chunk_size, jobs=slots,
+        )
         degraded = False
         hosts_seen: list[str] = []
-        if executor is None:
+        try:
+            result, chunks, workers, elapsed, supervised, resumed_chunks, obs = (
+                self._execute(
+                    bench, workload, size, n_tasks, chunk_size, executor,
+                    in_process, metrics,
+                )
+            )
+        except POOL_UNAVAILABLE_ERRORS as exc:
+            if in_process:
+                raise
+            # backend cannot start (or lost every worker): a complete
+            # serial run beats no run at all -- degrade gracefully
+            warnings.warn(
+                f"{executor.name} executor unavailable "
+                f"({type(exc).__name__}: {exc}); "
+                "degrading to in-process serial execution",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            degraded = True
+            slots = 1
+            chunk_size = max(1, n_tasks)
             self.events.emit(
-                ev.EXECUTE_STARTED, kernel=bench.name, executor="serial",
-                chunks=1, tasks=n_tasks if n_tasks is not None else 0, jobs=1,
+                ev.RUN_DEGRADED, "error", executor=executor.name,
+                error=f"{type(exc).__name__}: {exc}",
             )
-            result, chunks, workers, elapsed, obs = self._execute_serial(
-                bench, workload, metrics
+            if self.tracer is not None:
+                self.tracer.instant(
+                    "engine.degraded", cat="engine", error=str(exc)
+                )
+            result, chunks, workers, elapsed, supervised, resumed_chunks, obs = (
+                self._execute(
+                    bench, workload, size, n_tasks, chunk_size, SerialExecutor(),
+                    True, metrics,
+                )
             )
-            chunk_size = max(1, len(result.task_work))
         else:
-            chunk_size = self._effective_chunk_size(n_tasks, slots)
-            self.events.emit(
-                ev.EXECUTE_STARTED, kernel=bench.name, executor=executor.name,
-                chunks=-(-n_tasks // chunk_size), tasks=n_tasks,
-                chunk_size=chunk_size, jobs=slots,
-            )
-            try:
-                result, chunks, workers, elapsed, supervised, resumed_chunks, obs = (
-                    self._execute_parallel(
-                        bench, workload, size, n_tasks, chunk_size, executor
-                    )
-                )
-            except POOL_UNAVAILABLE_ERRORS as exc:
-                # backend cannot start (or lost every worker): a complete
-                # serial run beats no run at all -- degrade gracefully
-                warnings.warn(
-                    f"{executor.name} executor unavailable "
-                    f"({type(exc).__name__}: {exc}); "
-                    "degrading to in-process serial execution",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                degraded = True
-                slots = 1
-                supervised = None
-                self.events.emit(
-                    ev.RUN_DEGRADED, "error", executor=executor.name,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "engine.degraded", cat="engine", error=str(exc)
-                    )
-                self.events.emit(
-                    ev.EXECUTE_STARTED, kernel=bench.name, executor="serial",
-                    chunks=1, tasks=n_tasks if n_tasks is not None else 0, jobs=1,
-                )
-                result, chunks, workers, elapsed, obs = self._execute_serial(
-                    bench, workload, metrics
-                )
-            else:
-                hosts_seen = sorted({w.host for w in workers if w.host})
+            hosts_seen = sorted({w.host for w in workers if w.host})
         phase_profiles.update(obs.profiles)
         if self.telemetry:
             publish_telemetry(metrics, obs.telemetry)
@@ -509,10 +515,9 @@ class ParallelRunner:
         )
         self.events.emit(
             ev.RUN_FINISHED, kernel=bench.name,
-            seconds=round(elapsed, 6), tasks=result.n_tasks, chunks=len(chunks),
-            retries=supervised.retries if supervised is not None else 0,
-            quarantined=len(supervised.quarantined) if supervised is not None else 0,
-            degraded=degraded,
+            seconds=round(elapsed, 6), tasks=result.n_tasks,
+            chunks=len(chunks), retries=supervised.retries,
+            quarantined=len(supervised.quarantined), degraded=degraded,
         )
         record = RunRecord(
             kernel=bench.name,
@@ -532,9 +537,9 @@ class ParallelRunner:
             metrics=metrics.as_dict(),
             host=platform.node() or None,
             created_unix=time.time(),
-            failures=list(supervised.failures) if supervised is not None else [],
-            retries=supervised.retries if supervised is not None else 0,
-            quarantined=list(supervised.quarantined) if supervised is not None else [],
+            failures=list(supervised.failures),
+            retries=supervised.retries,
+            quarantined=list(supervised.quarantined),
             resumed_chunks=resumed_chunks,
             degraded=degraded,
             executor=executor_name,
@@ -632,8 +637,8 @@ class ParallelRunner:
         prepare_cached: bool,
         execute_seconds: float,
         serial_seconds: float | None,
+        supervised: SupervisedExecution,
         jobs: int | None = None,
-        supervised: SupervisedExecution | None = None,
         resumed_chunks: int = 0,
         degraded: bool = False,
     ) -> None:
@@ -665,17 +670,14 @@ class ParallelRunner:
                 )
         metrics.gauge("engine.degraded").set(1.0 if degraded else 0.0)
         metrics.counter("engine.resumed_chunks").inc(resumed_chunks)
-        if supervised is not None:
-            metrics.counter("engine.retries").inc(supervised.retries)
-            metrics.counter("engine.timeouts").inc(supervised.timeouts)
-            metrics.counter("engine.worker_deaths").inc(supervised.worker_deaths)
-            metrics.counter("engine.respawns").inc(supervised.respawns)
-            metrics.counter("engine.quarantined_chunks").inc(
-                len(supervised.quarantined)
-            )
-            attempts_hist = metrics.histogram("chunk.attempts", ATTEMPT_BUCKETS)
-            for n_attempts in supervised.attempts_by_chunk.values():
-                attempts_hist.observe(n_attempts)
+        metrics.counter("engine.retries").inc(supervised.retries)
+        metrics.counter("engine.timeouts").inc(supervised.timeouts)
+        metrics.counter("engine.worker_deaths").inc(supervised.worker_deaths)
+        metrics.counter("engine.respawns").inc(supervised.respawns)
+        metrics.counter("engine.quarantined_chunks").inc(len(supervised.quarantined))
+        attempts_hist = metrics.histogram("chunk.attempts", ATTEMPT_BUCKETS)
+        for n_attempts in supervised.attempts_by_chunk.values():
+            attempts_hist.observe(n_attempts)
         work_hist = metrics.histogram("task.work", WORK_BUCKETS)
         for work in result.task_work:
             work_hist.observe(work)
@@ -687,69 +689,6 @@ class ParallelRunner:
             tasks_hist.observe(worker.tasks)
             busy_hist.observe(worker.busy_seconds)
 
-    def _execute_serial(
-        self, bench: Benchmark, workload: Any, metrics: MetricsRegistry
-    ) -> tuple[
-        ExecutionResult, list[ChunkTrace], list[WorkerStats], float, ObsCapture
-    ]:
-        instr = Instrumentation(counts=OpCounts()) if self.instrument else None
-        tracer_ctx = activated(self.tracer) if self.tracer is not None else nullcontext()
-        profiler = SamplingProfiler(self.profile_hz) if self.profile else None
-        telemetry = (
-            TelemetrySampler(self.telemetry_interval) if self.telemetry else None
-        )
-        obs = ObsCapture()
-        with tracer_ctx, activated_metrics(metrics), self._span(
-            "engine.execute", kernel=bench.name, jobs=1
-        ):
-            t0 = time.perf_counter()
-            obs.epoch = t0
-            try:
-                if profiler is not None:
-                    profiler.start()
-                if telemetry is not None:
-                    telemetry.start()
-                result = as_execution_result(
-                    bench.execute(workload, instr=instr), bench.name
-                )
-            finally:
-                if profiler is not None:
-                    obs.profiles["execute"] = profiler.stop()
-                if telemetry is not None:
-                    obs.telemetry[0] = telemetry.stop()
-            elapsed = time.perf_counter() - t0
-        self.events.emit(
-            ev.CHUNK_COMPLETED, chunk=(0, result.n_tasks), worker=0,
-            tasks=result.n_tasks,
-        )
-        if instr is not None:
-            metrics.publish_op_counts(instr.counts)
-        if self.tracer is not None:
-            self.tracer.add_span(
-                Span(
-                    name=f"chunk[0:{result.n_tasks})",
-                    cat="chunk",
-                    begin=t0,
-                    end=t0 + elapsed,
-                    pid=os.getpid(),
-                    tid=0,
-                    args={"worker": 0, "tasks": result.n_tasks},
-                )
-            )
-        chunks = [
-            ChunkTrace(worker=0, start=0, stop=result.n_tasks, begin=0.0, end=elapsed)
-        ]
-        workers = [
-            WorkerStats(
-                worker=0,
-                pid=os.getpid(),
-                chunks=1,
-                tasks=result.n_tasks,
-                busy_seconds=elapsed,
-            )
-        ]
-        return result, chunks, workers, elapsed, obs
-
     def _checkpoint_for(
         self, bench: Benchmark, size: DatasetSize, n_tasks: int, chunk_size: int
     ) -> ShardCheckpoint | None:
@@ -757,24 +696,7 @@ class ParallelRunner:
             return None
         return self.cache.checkpoint(bench.name, size, n_tasks, chunk_size)
 
-    def _serial_fallback(self, bench: Benchmark, workload: Any):
-        """Parent-side chunk executor for the ``on_failure="serial"`` policy."""
-
-        def fallback(start: int, stop: int) -> ChunkPayload:
-            tracer_ctx = (
-                activated(self.tracer) if self.tracer is not None else nullcontext()
-            )
-            t0 = time.perf_counter()
-            with tracer_ctx:
-                result = as_execution_result(
-                    bench.execute_shard(workload, range(start, stop)), bench.name
-                )
-            t1 = time.perf_counter()
-            return start, stop, result, os.getpid(), t0, t1, None, None, None
-
-        return fallback
-
-    def _execute_parallel(
+    def _execute(
         self,
         bench: Benchmark,
         workload: Any,
@@ -782,6 +704,8 @@ class ParallelRunner:
         n_tasks: int,
         chunk_size: int,
         executor: Executor,
+        in_process: bool,
+        metrics: MetricsRegistry,
     ) -> tuple[
         ExecutionResult,
         list[ChunkTrace],
@@ -791,21 +715,39 @@ class ParallelRunner:
         int,
         ObsCapture,
     ]:
-        bounds = [
-            (lo, min(lo + chunk_size, n_tasks))
-            for lo in range(0, n_tasks, chunk_size)
-        ]
+        """Run every chunk through ``executor`` and merge the results.
+
+        ``in_process`` marks the runs the engine chose to keep in this
+        process (the fast path and the degrade path): one chunk, no
+        injected faults, no checkpoint, and kernel counters and op
+        counts published into the run's registry.
+        """
+        if in_process:
+            bounds = [(0, n_tasks)]  # one chunk, even of zero tasks
+        else:
+            bounds = [
+                (lo, min(lo + chunk_size, n_tasks))
+                for lo in range(0, n_tasks, chunk_size)
+            ]
+        instr = (
+            Instrumentation(counts=OpCounts())
+            if self.instrument and in_process
+            else None
+        )
         context = ExecutionContext(
             bench=bench,
             workload=workload,
             tracer=self.tracer,
-            fault_plan=self.fault_plan,
+            fault_plan=None if in_process else self.fault_plan,
             profile_hz=self.profile_hz if self.profile else None,
             telemetry_interval=self.telemetry_interval if self.telemetry else None,
             events=self.events,
+            instr=instr,
         )
-
-        checkpoint = self._checkpoint_for(bench, size, n_tasks, chunk_size)
+        checkpoint = (
+            None if in_process
+            else self._checkpoint_for(bench, size, n_tasks, chunk_size)
+        )
         preloaded: dict[tuple[int, int], ChunkPayload] = {}
         if checkpoint is not None:
             wanted = set(bounds)
@@ -814,7 +756,9 @@ class ParallelRunner:
                 if chunk in wanted:
                     # zero-width placeholder timings: the work happened
                     # in an earlier, interrupted run
-                    preloaded[chunk] = (*chunk, result, pid, 0.0, 0.0, None, None, None)
+                    preloaded[chunk] = ChunkPayload(
+                        *chunk, result=result, pid=pid, begin=0.0, end=0.0
+                    )
             if preloaded:
                 self.events.emit(ev.RUN_RESUMED, chunks=len(preloaded))
                 for chunk in sorted(preloaded):
@@ -836,17 +780,23 @@ class ParallelRunner:
             retries=self.retries,
             backoff=self.backoff,
             on_failure=self.on_failure,
-            serial_fallback=self._serial_fallback(bench, workload),
+            # the on_failure="serial" fallback runs in this process, unfaulted
+            serial_fallback=lambda start, stop: execute_chunk(
+                replace(context.worker_state(), fault_plan=None), start, stop, 0, 0
+            ),
             tracer=self.tracer,
             on_chunk_done=checkpoint.store if checkpoint is not None else None,
             events=self.events,
         )
+        # kernel counters land in this run's registry only when the
+        # kernels run in this thread; pool and remote workers keep theirs
+        metrics_ctx = activated_metrics(metrics) if in_process else nullcontext()
         t0 = time.perf_counter()
         try:
             # open() raising OSError (no pool, no reachable host) rides
             # the same degrade path as a supervisor-detected total loss
             executor.open(context)
-            with self._span(
+            with metrics_ctx, self._span(
                 "engine.execute",
                 kernel=bench.name,
                 executor=executor.name,
@@ -857,48 +807,50 @@ class ParallelRunner:
         finally:
             executor.shutdown()
         elapsed = time.perf_counter() - t0
+        if instr is not None:
+            metrics.publish_op_counts(instr.counts)
 
-        raw = sorted(supervised.payloads, key=lambda r: r[0])
+        payloads = sorted(supervised.payloads, key=lambda p: p.start)
         # worker identity is (host, pid): pids are only unique per host
         keys: dict[tuple[str | None, int], int] = {}
         chunks: list[ChunkTrace] = []
         per_worker: dict[int, WorkerStats] = {}
         obs = ObsCapture(epoch=t0)
         execute_profile = StackProfile(hz=self.profile_hz)
-        for start, stop, _, pid, w0, w1, spans, chunk_obs, host in raw:
-            worker = keys.setdefault((host, pid), len(keys))
+        for p in payloads:
+            worker = keys.setdefault((p.host, p.pid), len(keys))
             chunks.append(
                 ChunkTrace(
                     worker=worker,
-                    start=start,
-                    stop=stop,
-                    begin=max(0.0, w0 - t0),
-                    end=max(0.0, w1 - t0),
+                    start=p.start,
+                    stop=p.stop,
+                    begin=max(0.0, p.begin - t0),
+                    end=max(0.0, p.end - t0),
                 )
             )
             stats = per_worker.setdefault(
                 worker,
                 WorkerStats(
-                    worker=worker, pid=pid, chunks=0, tasks=0,
-                    busy_seconds=0.0, host=host,
+                    worker=worker, pid=p.pid, chunks=0, tasks=0,
+                    busy_seconds=0.0, host=p.host,
                 ),
             )
             stats.chunks += 1
-            stats.tasks += stop - start
-            stats.busy_seconds += w1 - w0
-            if chunk_obs:
+            stats.tasks += p.stop - p.start
+            stats.busy_seconds += p.end - p.begin
+            if p.obs:
                 # per-worker observability merges at the shard boundary,
                 # the same model as the span buffers below
-                buffered_events = chunk_obs.pop("events", None)
+                buffered_events = p.obs.pop("events", None)
                 if buffered_events:
                     # backends absorb worker events as payloads land (so
-                    # the live plane sees them); this is the fallback for
-                    # backends that do not
+                    # the live plane sees them); this catches the rest,
+                    # such as the serial fallback's
                     self.events.absorb(buffered_events, worker=worker)
-                chunk_profile = chunk_obs.get("profile")
+                chunk_profile = p.obs.get("profile")
                 if chunk_profile is not None:
                     execute_profile.merge(chunk_profile)
-                chunk_telemetry = chunk_obs.get("telemetry")
+                chunk_telemetry = p.obs.get("telemetry")
                 if chunk_telemetry is not None:
                     if worker in obs.telemetry:
                         obs.telemetry[worker].extend(chunk_telemetry)
@@ -907,29 +859,33 @@ class ParallelRunner:
             if self.tracer is not None:
                 # merge the worker's span buffer at the shard boundary,
                 # and give the chunk itself a span on the worker's track
-                if spans:
-                    self.tracer.extend(spans)
+                if p.spans:
+                    self.tracer.extend(p.spans)
                 self.tracer.add_span(
                     Span(
-                        name=f"chunk[{start}:{stop})",
+                        name=f"chunk[{p.start}:{p.stop})",
                         cat="chunk",
-                        begin=w0,
-                        end=w1,
-                        pid=pid,
+                        begin=p.begin,
+                        end=p.end,
+                        pid=p.pid,
                         tid=0,
-                        args={"worker": worker, "tasks": stop - start},
+                        args={"worker": worker, "tasks": p.stop - p.start},
                     )
                 )
-        if self.tracer is not None:
+        if self.tracer is not None and not in_process:
+            # name the worker tracks and chart their activity; an
+            # in-process run's one chunk sits on the coordinator's track
             for (host, pid), worker in keys.items():
                 label = f"worker {worker}" + (f" @ {host}" if host else "")
                 self.tracer.name_track(pid, 0, label)
-            self._emit_worker_counter(raw)
+            self._emit_worker_counter(payloads)
         merge_profiler = SamplingProfiler(self.profile_hz) if self.profile else None
         merge_ctx = merge_profiler if merge_profiler is not None else nullcontext()
-        with merge_ctx, self._span("engine.merge", kernel=bench.name, shards=len(raw)):
-            if raw:
-                result = bench.merge_shards([r[2] for r in raw])
+        with merge_ctx, self._span(
+            "engine.merge", kernel=bench.name, shards=len(payloads)
+        ):
+            if payloads:
+                result = bench.merge_shards([p.result for p in payloads])
             else:
                 # every chunk quarantined: an empty result with the gap
                 # report in the record beats crashing a reducer on []
@@ -943,70 +899,17 @@ class ParallelRunner:
             checkpoint.clear()
         return result, chunks, workers, elapsed, supervised, resumed_chunks, obs
 
-    def _emit_worker_counter(self, raw: list[tuple]) -> None:
+    def _emit_worker_counter(self, payloads: list[ChunkPayload]) -> None:
         """``workers.active`` counter series from the chunk timings."""
         assert self.tracer is not None
         boundaries: list[tuple[float, int]] = []
-        for _, _, _, _, w0, w1, _, _, _ in raw:
-            if w1 <= w0:
+        for p in payloads:
+            if p.end <= p.begin:
                 continue  # resumed placeholder, no live execution window
-            boundaries.append((w0, +1))
-            boundaries.append((w1, -1))
+            boundaries.append((p.begin, +1))
+            boundaries.append((p.end, -1))
         active = 0
         pid = os.getpid()
         for ts, delta in sorted(boundaries):
             active += delta
             self.tracer.counter("workers.active", active, ts=ts, pid=pid)
-
-
-def run_kernel(
-    kernel: str,
-    size: DatasetSize | str = DatasetSize.SMALL,
-    jobs: int = 1,
-    chunk_size: int | None = None,
-    cache: WorkloadCache | None = None,
-    measure_serial: bool | None = None,
-    tracer: Tracer | None = None,
-    instrument: bool = False,
-    timeout: float | None = None,
-    retries: int = 0,
-    on_failure: str = "fail",
-    backoff: BackoffPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    resume: bool = False,
-    profile: bool = False,
-    profile_hz: float = DEFAULT_HZ,
-    telemetry: bool = False,
-    telemetry_interval: float = DEFAULT_INTERVAL,
-) -> EngineRun:
-    """Deprecated shim over :func:`repro.api.run` (use that instead)."""
-    warnings.warn(
-        "run_kernel() is deprecated; use repro.api.run() (also exported "
-        "as repro.run)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.api import ObsOptions, run
-
-    return run(
-        kernel,
-        size,
-        jobs=jobs,
-        chunk_size=chunk_size,
-        cache=cache,
-        measure_serial=measure_serial,
-        timeout=timeout,
-        retries=retries,
-        on_failure=on_failure,
-        backoff=backoff,
-        fault_plan=fault_plan,
-        resume=resume,
-        obs=ObsOptions(
-            tracer=tracer,
-            instrument=instrument,
-            profile=profile,
-            profile_hz=profile_hz,
-            telemetry=telemetry,
-            telemetry_interval=telemetry_interval,
-        ),
-    )

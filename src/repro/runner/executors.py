@@ -39,21 +39,16 @@ import multiprocessing
 import os
 import queue as queue_mod
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, ClassVar
+from dataclasses import dataclass, replace
+from typing import Any, ClassVar
 
-from repro.core.benchmark import Benchmark, as_execution_result
+from repro.core.benchmark import Benchmark
+from repro.core.instrument import Instrumentation
 from repro.obs import events as ev
 from repro.obs.events import EventLog
-from repro.obs.trace import Tracer, activated
+from repro.obs.trace import Tracer
 from repro.runner.faults import FaultPlan, InjectedFault
-from repro.runner.worker import (
-    ChunkPayload,
-    WorkerState,
-    clear_worker_state,
-    set_worker_state,
-    worker_main,
-)
+from repro.runner.worker import ChunkPayload, WorkerState, execute_chunk, worker_main
 
 #: Grace period for joins during shutdown/termination, seconds.
 JOIN_SECONDS = 1.0
@@ -91,10 +86,13 @@ class ExecutorCapabilities:
 class ExecutionContext:
     """Everything a backend needs to run one workload's chunks.
 
-    ``events`` is the coordinator-side event log; it is never shipped
-    to workers (only the boolean ``events_enabled`` travels in the
-    worker-state tuple -- workers buffer their own events and ship them
-    back inside the chunk payload).
+    ``tracer`` and ``events`` are the coordinator-side span tracer and
+    event log; neither is shipped to workers (only the booleans
+    ``trace_enabled``/``events_enabled`` travel in the
+    :class:`~repro.runner.worker.WorkerState` -- workers buffer their
+    own spans and events and ship them back inside the chunk payload).
+    ``instr`` is the op-count tally of an in-process run (see
+    :class:`~repro.runner.worker.WorkerState`).
     """
 
     bench: Benchmark
@@ -104,6 +102,7 @@ class ExecutionContext:
     profile_hz: float | None = None
     telemetry_interval: float | None = None
     events: "EventLog | None" = None
+    instr: Instrumentation | None = None
 
     @property
     def trace_enabled(self) -> bool:
@@ -114,15 +113,16 @@ class ExecutionContext:
         return self.events is not None
 
     def worker_state(self) -> WorkerState:
-        """The picklable state tuple workers install."""
-        return (
-            self.bench,
-            self.workload,
-            self.trace_enabled,
-            self.fault_plan,
-            self.profile_hz,
-            self.telemetry_interval,
-            self.events_enabled,
+        """The state every chunk of this run executes against."""
+        return WorkerState(
+            bench=self.bench,
+            workload=self.workload,
+            trace_enabled=self.trace_enabled,
+            fault_plan=self.fault_plan,
+            profile_hz=self.profile_hz,
+            telemetry_interval=self.telemetry_interval,
+            events_enabled=self.events_enabled,
+            instr=self.instr,
         )
 
 
@@ -144,6 +144,22 @@ class ChunkEvent:
     pid: int | None = None
     exitcode: int | None = None
     error: str | None = None
+
+
+def absorb_chunk_events(
+    log: EventLog | None, payload: ChunkPayload, worker: int
+) -> None:
+    """Merge a chunk's buffered worker events into ``log`` as it lands.
+
+    For backends sharing the coordinator's ``perf_counter`` clock, so
+    no offset applies.  The buffer is popped from the payload so the
+    engine's merge never counts it twice.
+    """
+    if log is None or not payload.obs:
+        return
+    buffered = payload.obs.pop("events", None)
+    if buffered:
+        log.absorb(buffered, worker=worker)
 
 
 class Executor(abc.ABC):
@@ -274,12 +290,15 @@ class SerialExecutor(Executor):
     """Chunked execution in the coordinator process, one chunk at a time.
 
     The same supervision machinery (retries, backoff, quarantine,
-    checkpoints) over plain in-process calls: no pool, no IPC, chunks
-    execute synchronously inside :meth:`submit`.  Because nothing can
-    interrupt the coordinator's own frame, ``timeouts``/``kill`` are
-    off -- and injected ``hang``/``kill`` faults are translated into
-    raised :class:`~repro.runner.faults.InjectedFault` so chaos plans
-    stay runnable without hanging or killing the parent.
+    checkpoints) over plain in-process calls to
+    :func:`~repro.runner.worker.execute_chunk`: no pool, no IPC, the
+    workload passed by reference, chunks executing synchronously inside
+    :meth:`submit`.  The engine's ``jobs=1`` fast path and its degrade
+    path are this backend over one chunk ``[0, n)``.  Because nothing can
+    interrupt the coordinator's own frame, ``timeouts``/``kill`` are off
+    -- and injected ``hang``/``kill`` faults are translated into raised
+    :class:`~repro.runner.faults.InjectedFault` so chaos plans stay
+    runnable without hanging or killing the parent.
     """
 
     name: ClassVar[str] = "serial"
@@ -287,20 +306,21 @@ class SerialExecutor(Executor):
         timeouts=False, kill=False, remote=False, live_events=True
     )
 
-    def __init__(self, tracer: Tracer | None = None) -> None:
-        self.tracer = tracer
+    def __init__(self) -> None:
         self.respawns = 0
-        self._context: ExecutionContext | None = None
+        self._state: WorkerState | None = None
+        self._fault_plan: FaultPlan | None = None
+        self._log: EventLog | None = None
         self._events: list[ChunkEvent] = []
 
-    @classmethod
-    def from_options(cls, *, tracer: Tracer | None = None, **_: Any) -> "SerialExecutor":
-        return cls(tracer=tracer)
-
     def open(self, context: ExecutionContext) -> None:
-        self._context = context
-        if context.tracer is not None:
-            self.tracer = context.tracer
+        state = context.worker_state()
+        # faults fire translated in submit(), never inside the chunk
+        self._fault_plan = state.fault_plan
+        self._state = (
+            state if state.fault_plan is None else replace(state, fault_plan=None)
+        )
+        self._log = context.events
 
     def has_capacity(self) -> bool:
         return True
@@ -309,31 +329,11 @@ class SerialExecutor(Executor):
         self, start: int, stop: int, ordinal: int, attempt: int,
         deadline: float | None = None,
     ) -> None:
-        assert self._context is not None, "executor not opened"
-        ctx = self._context
+        assert self._state is not None, "executor not opened"
         chunk = (start, stop)
-        if ctx.events is not None:
-            # In-process backend: worker-side events go straight into
-            # the coordinator log -- no buffering round-trip needed.
-            ctx.events.emit(
-                ev.CHUNK_STARTED, "debug", chunk=chunk, worker=0, attempt=attempt
-            )
         try:
-            self._fire_translated(ctx.fault_plan, ordinal, attempt)
-            tracer_ctx = activated(self.tracer) if self.tracer is not None else None
-            t0 = time.perf_counter()
-            if tracer_ctx is not None:
-                with tracer_ctx:
-                    result = as_execution_result(
-                        ctx.bench.execute_shard(ctx.workload, range(start, stop)),
-                        ctx.bench.name,
-                    )
-            else:
-                result = as_execution_result(
-                    ctx.bench.execute_shard(ctx.workload, range(start, stop)),
-                    ctx.bench.name,
-                )
-            t1 = time.perf_counter()
+            self._fire_translated(self._fault_plan, ordinal, attempt)
+            payload = execute_chunk(self._state, start, stop, ordinal, attempt)
         except Exception as exc:  # noqa: BLE001 - reported as a chunk event
             self._events.append(
                 ChunkEvent(
@@ -343,16 +343,12 @@ class SerialExecutor(Executor):
                 )
             )
             return
-        payload: ChunkPayload = (
-            start, stop, result, os.getpid(), t0, t1, None, None, None
-        )
-        if ctx.events is not None:
-            ctx.events.emit(
-                ev.CHUNK_FINISHED, "debug", chunk=chunk, worker=0, attempt=attempt,
-                tasks=stop - start, seconds=round(t1 - t0, 6),
-            )
+        absorb_chunk_events(self._log, payload, worker=0)
         self._events.append(
-            ChunkEvent(kind="ok", chunk=chunk, attempt=attempt, payload=payload)
+            ChunkEvent(
+                kind="ok", chunk=chunk, attempt=attempt, payload=payload,
+                worker=0, pid=payload.pid,
+            )
         )
 
     @staticmethod
@@ -382,7 +378,7 @@ class SerialExecutor(Executor):
         return events
 
     def shutdown(self) -> None:
-        self._context = None
+        self._state = None
         self._events = []
 
 
@@ -444,8 +440,7 @@ class LocalExecutor(Executor):
         self._outbox: Any = None
         self._workers: dict[int, _PoolWorker] = {}
         self._next_worker_id = 0
-        self._spawn_state: WorkerState | None = None
-        self._opened = False
+        self._state: WorkerState | None = None
         self._events: EventLog | None = None
 
     @classmethod
@@ -466,12 +461,9 @@ class LocalExecutor(Executor):
         self._events = context.events
         use_fork = "fork" in multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if use_fork else "spawn")
-        state = context.worker_state()
-        set_worker_state(*state)  # forked children inherit
-        self._spawn_state = None if use_fork else state
+        self._state = context.worker_state()
         self._outbox = self._ctx.Queue()
         self._workers = {}
-        self._opened = True
 
     def _spawn(self) -> _PoolWorker:
         worker_id = self._next_worker_id
@@ -479,7 +471,9 @@ class LocalExecutor(Executor):
         inbox = self._ctx.Queue()
         process = self._ctx.Process(
             target=worker_main,
-            args=(worker_id, inbox, self._outbox, self._spawn_state),
+            # a fork child inherits its arguments unpickled, so the
+            # workload stays copy-on-write; spawn pickles it once here
+            args=(worker_id, inbox, self._outbox, self._state),
             daemon=True,
         )
         process.start()
@@ -517,9 +511,7 @@ class LocalExecutor(Executor):
         if self._outbox is not None:
             self._outbox.close()
             self._outbox = None
-        if self._opened:
-            clear_worker_state()
-            self._opened = False
+        self._state = None
 
     # -- dispatch -----------------------------------------------------
 
@@ -559,15 +551,15 @@ class LocalExecutor(Executor):
     def _event_from(self, msg: tuple) -> ChunkEvent:
         if msg[0] == "ok":
             _, worker_id, payload = msg
-            chunk = (payload[0], payload[1])
+            chunk = (payload.start, payload.stop)
             worker = self._workers.get(worker_id)
             attempt = worker.attempt if worker is not None else 0
             if worker is not None and worker.current == chunk:
                 worker.release()
-            self._absorb_worker_events(payload, worker_id)
+            absorb_chunk_events(self._events, payload, worker_id)
             return ChunkEvent(
                 kind="ok", chunk=chunk, attempt=attempt, payload=payload,
-                worker=worker_id, pid=payload[3],
+                worker=worker_id, pid=payload.pid,
             )
         _, worker_id, start, stop, attempt, error = msg
         worker = self._workers.get(worker_id)
@@ -578,20 +570,6 @@ class LocalExecutor(Executor):
             kind="exception", chunk=(start, stop), attempt=attempt,
             worker=worker_id, pid=pid, error=error,
         )
-
-    def _absorb_worker_events(self, payload: ChunkPayload, worker_id: int) -> None:
-        """Merge a pool worker's buffered events as the payload lands.
-
-        Local workers share the coordinator's ``perf_counter`` clock,
-        so no offset applies.  The buffer is popped from the obs dict
-        so downstream merging never double-counts it.
-        """
-        obs = payload[7]
-        if self._events is None or not obs:
-            return
-        buffered = obs.pop("events", None)
-        if buffered:
-            self._events.absorb(buffered, worker=worker_id)
 
     def _heal(self) -> list[ChunkEvent]:
         """Deadline and liveness pass: kill overruns, respawn the dead."""

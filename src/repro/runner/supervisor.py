@@ -50,16 +50,7 @@ from repro.obs.trace import Tracer
 from repro.runner.executors import ChunkEvent, Executor
 from repro.runner.record import FailureEvent
 from repro.runner.retry import BackoffPolicy
-
-# Re-exported names that historically lived here; the worker-process
-# machinery moved to repro.runner.worker and the pool backend to
-# repro.runner.executors.
-from repro.runner.worker import (  # noqa: F401  (re-exported)
-    ChunkObs,
-    ChunkPayload,
-    clear_worker_state,
-    set_worker_state,
-)
+from repro.runner.worker import ChunkPayload
 
 #: Seconds the supervisor blocks on the backend per loop iteration.
 POLL_SECONDS = 0.02
@@ -241,7 +232,7 @@ class ChunkSupervisor:
                     pid=event.pid, tasks=chunk[1] - chunk[0],
                 )
                 if self.on_chunk_done is not None:
-                    self.on_chunk_done(chunk[0], chunk[1], event.payload[2])
+                    self.on_chunk_done(chunk[0], chunk[1], event.payload.result)
             return
         if chunk in results or chunk in quarantined:
             # a stale failure (e.g. a speculative copy's host was lost
@@ -321,7 +312,7 @@ class ChunkSupervisor:
             payload = self.serial_fallback(start, stop)
             results[chunk] = payload
             if self.on_chunk_done is not None:
-                self.on_chunk_done(start, stop, payload[2])
+                self.on_chunk_done(start, stop, payload.result)
             return
         quarantined.add(chunk)
         self._emit(

@@ -60,13 +60,8 @@ def test_prepare_is_deterministic():
     assert w1.pairs == w2.pairs
 
 
-def test_execution_result_unpacks_like_legacy_tuple():
+def test_execution_result_task_totals():
     result = ExecutionResult(output=["a", "b"], task_work=[1, 2])
-    output, task_work = result
-    assert output == ["a", "b"]
-    assert task_work == [1, 2]
-    assert len(result) == 2
-    assert result[0] == ["a", "b"] and result[1] == [1, 2]
     assert result.n_tasks == 2 and result.total_work == 3
 
 

@@ -113,12 +113,14 @@ def test_serial_reexecution_merges_parent_side_spans():
 
 
 def test_degraded_serial_mode_keeps_single_track_trace(monkeypatch):
-    import repro.runner.engine as engine_mod
+    from repro.runner.executors import LocalExecutor
 
     def boom(*args, **kwargs):
-        raise OSError("no pool for you")
+        raise OSError("every pool worker lost")
 
-    monkeypatch.setattr(engine_mod.ChunkSupervisor, "run", boom)
+    # the pool fails mid-run; the degraded run is a SerialExecutor and
+    # goes through the same supervisor, so only the pool may fail
+    monkeypatch.setattr(LocalExecutor, "collect", boom)
     tracer = Tracer()
     run = _run(tracer)
     assert run.record.degraded

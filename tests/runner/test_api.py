@@ -1,14 +1,12 @@
 """Tests for the stable :mod:`repro.api` facade."""
 
-import warnings
-
 import pytest
 
 import repro
 import repro.api as api
 from repro.obs.history import BenchHistory
 from repro.obs.trace import Tracer
-from repro.runner.engine import EngineRun, run_kernel
+from repro.runner.engine import EngineRun
 
 
 class TestRun:
@@ -54,21 +52,6 @@ class TestRun:
         api.run("grm", "small", obs=api.ObsOptions(tracer=tracer))
         assert tracer.find("engine.prepare")
         assert tracer.find("engine.execute")
-
-
-class TestRunKernelShim:
-    def test_emits_deprecation_warning(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.run"):
-            run = run_kernel("grm", "small", jobs=1)
-        assert isinstance(run, EngineRun)
-
-    def test_matches_api_run_record(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            old = run_kernel("grm", "small", jobs=1)
-        new = api.run("grm", "small")
-        assert old.record.kernel == new.record.kernel
-        assert old.record.n_tasks == new.record.n_tasks
 
 
 class TestBenchRecord:

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.benchmark import load_benchmark
+import repro.api as api
+from repro.core.benchmark import Benchmark, load_benchmark
 from repro.core.datasets import DatasetSize
 from repro.core.registry import kernel_names
 from repro.kmer.table import HashTable
-from repro.runner.engine import ParallelRunner, default_chunk_size, run_kernel
+from repro.runner.engine import ParallelRunner, default_chunk_size
 
 
 def canon(x):
@@ -80,7 +81,7 @@ def test_chunk_trace_covers_every_task_exactly_once():
 
 
 def test_measured_speedup_recorded_when_parallel():
-    run = run_kernel("grm", "small", jobs=2)
+    run = api.run("grm", "small", jobs=2)
     assert run.record.serial_seconds is not None
     assert run.record.speedup_vs_serial is not None
     assert run.record.speedup_vs_serial > 0.0
@@ -88,7 +89,7 @@ def test_measured_speedup_recorded_when_parallel():
 
 
 def test_serial_run_skips_baseline_by_default():
-    run = run_kernel("grm", "small", jobs=1)
+    run = api.run("grm", "small", jobs=1)
     assert run.record.serial_seconds is None
     assert run.record.speedup_vs_serial is None
 
@@ -112,7 +113,18 @@ def test_rejects_nonpositive_chunk_size():
         ParallelRunner(jobs=2, chunk_size=-5)
 
 
+def test_rejects_adapter_without_task_sharding():
+    class Unsharded(Benchmark):
+        name = "unsharded"
+
+        def prepare(self, size):
+            return [1, 2, 3]
+
+    with pytest.raises(TypeError, match=r"task_count\(\) and execute_shard\(\)"):
+        ParallelRunner().execute(Unsharded(), [1, 2, 3], DatasetSize.SMALL)
+
+
 def test_run_accepts_string_size():
-    run = run_kernel("grm", "small", jobs=1)
+    run = api.run("grm", "small", jobs=1)
     assert run.record.size == "small"
     assert run.record.kernel == "grm"

@@ -122,10 +122,10 @@ class TestSerialExecutor:
         event = events[0]
         assert isinstance(event, ChunkEvent)
         assert event.kind == "ok"
-        start, stop, result, pid, *_rest, host = event.payload
-        assert (start, stop) == (0, 2)
-        assert result is not None
-        assert host is None
+        payload = event.payload
+        assert (payload.start, payload.stop) == (0, 2)
+        assert payload.result is not None
+        assert payload.host is None
 
     def test_supervised_run_covers_all_chunks(self):
         bench, ctx = small_context()
@@ -136,7 +136,7 @@ class TestSerialExecutor:
             out = ChunkSupervisor(ex).run(bounds, [])
         finally:
             ex.shutdown()
-        assert sorted((p[0], p[1]) for p in out.payloads) == bounds
+        assert sorted((p.start, p.stop) for p in out.payloads) == bounds
         assert not out.failures
 
     def test_shutdown_idempotent(self):
@@ -157,7 +157,7 @@ class TestLocalExecutor:
             out = ChunkSupervisor(ex).run(bounds, [])
         finally:
             ex.shutdown()
-        assert sorted((p[0], p[1]) for p in out.payloads) == bounds
+        assert sorted((p.start, p.stop) for p in out.payloads) == bounds
         import os
 
-        assert all(p[3] != os.getpid() for p in out.payloads)
+        assert all(p.pid != os.getpid() for p in out.payloads)

@@ -8,8 +8,8 @@ import pytest
 from repro.core.benchmark import Benchmark, ExecutionResult
 from repro.core.datasets import DatasetSize
 from repro.obs.telemetry import telemetry_supported
+import repro.api as api
 from repro.runner import ParallelRunner
-from repro.runner.engine import run_kernel
 from repro.runner.record import SCHEMA, RunRecord
 
 
@@ -101,9 +101,11 @@ class TestProfiledRuns:
         gauges = run.record.metrics["gauges"]
         assert gauges["telemetry.peak_rss_bytes"] == doc["peak_rss_bytes"]
 
-    def test_run_kernel_passthrough(self):
-        run = run_kernel(
-            "grm", jobs=1, profile=True, profile_hz=499.0, telemetry=True
+    def test_api_run_passthrough(self):
+        run = api.run(
+            "grm",
+            jobs=1,
+            obs=api.ObsOptions(profile=True, profile_hz=499.0, telemetry=True),
         )
         rec = run.record
         assert rec.profile is not None

@@ -15,7 +15,7 @@ from repro.runner.record import (
     RunRecord,
     WorkerStats,
 )
-from repro.runner.engine import run_kernel
+import repro.api as api
 
 
 def _record(**overrides) -> RunRecord:
@@ -233,7 +233,7 @@ def test_derived_metrics_none_without_baseline():
 
 def test_engine_record_serializes_for_every_field(tmp_path):
     """A real engine record (numpy ints and all) must be valid JSON."""
-    run = run_kernel("grm", "small", jobs=2)
+    run = api.run("grm", "small", jobs=2)
     text = run.record.to_json()
     doc = json.loads(text)
     assert doc["schema"] == SCHEMA
