@@ -76,7 +76,8 @@ def main() -> None:
         print()
         print(render_table(f"{name} metrics", ["metric", "value"], metric_rows))
     if tracer is not None:
-        path = tracer.export(args.trace)
+        # the runner's event log supplies the trace's instant markers
+        path = tracer.export(args.trace, runner.events.events)
         n_spans = len(tracer.spans)
         print(f"\nwrote {n_spans} spans to {path} -- open in chrome://tracing")
 

@@ -80,8 +80,9 @@ class ObsOptions:
     narrative into a shared :class:`~repro.obs.events.EventLog` (the
     live status server and ``--events`` JSONL sink watch it -- with
     ``None`` the engine still keeps a private log so events land in
-    the run record).  The default is everything off -- observability
-    costs nothing unless asked for.
+    the run record; pass the same log to ``tracer.export(path,
+    log.events)`` to draw the events as trace markers).  The default
+    is everything off -- observability costs nothing unless asked for.
     """
 
     tracer: Tracer | None = None

@@ -159,10 +159,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.resume and args.no_cache:
         print("warning: --resume needs the workload cache; ignoring", file=sys.stderr)
     # one event log shared across the multi-kernel loop, so the live
-    # server (and the --events JSONL sink) sees every run in sequence
+    # server, the --events JSONL sink and the --trace markers see every
+    # run in sequence
     event_log = None
     live_server = None
-    if args.events or args.live_port is not None:
+    if args.events or args.live_port is not None or tracer is not None:
         from repro.obs.events import EventLog
 
         event_log = EventLog(logfile=args.events)
@@ -250,7 +251,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if args.events:
                 print(f"wrote event log to {args.events}", file=sys.stderr)
     if tracer is not None:
-        path = tracer.export(args.trace)
+        path = tracer.export(args.trace, event_log.events)
         print(f"wrote Chrome trace to {path} (open in chrome://tracing)", file=sys.stderr)
     if args.metrics:
         from repro.core.serialize import write_json
@@ -613,7 +614,6 @@ def _cmd_runner(args: argparse.Namespace) -> int:
                 (
                     name,
                     ", ".join(k for k, v in sorted(caps.items()) if v) or "-",
-                    "yes" if caps.get("live_events") else "no",
                     summary,
                 )
             )
@@ -622,7 +622,7 @@ def _cmd_runner(args: argparse.Namespace) -> int:
             [
                 Report(
                     title="registered executors",
-                    headers=["name", "capabilities", "live events", "summary"],
+                    headers=["name", "capabilities", "summary"],
                     rows=rows,
                     data=data,
                 )
@@ -1188,7 +1188,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--trace", metavar="FILE", default=None,
-        help="write a Chrome trace-event JSON of the run to FILE",
+        help="write a Chrome trace-event JSON of the run to FILE "
+        "(spans, plus one instant marker per run event)",
     )
     run.add_argument(
         "--profile", action="store_true",

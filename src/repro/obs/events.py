@@ -20,13 +20,17 @@ Design rules
 * **Correlation IDs, not prose.**  Events carry the run id, the chunk
   bounds, the worker index (or remote host label) and the attempt
   number as structured fields; free-form detail goes in ``data``.
-* **Remote events merge like spans.**  Worker processes buffer their
-  events locally during chunk execution and ship them back inside the
-  chunk payload; the distributed executor rebases their timestamps
-  through the same per-host clock offset it applies to spans, and
-  :meth:`EventLog.absorb` re-sequences them into the coordinator's log
-  at the shard boundary -- so one log tells the whole multi-host story
-  on one clock.
+* **Worker events ride the chunk payload.**  Every chunk buffers its
+  ``chunk_started``/``chunk_finished`` events in the executing process
+  and ships them back inside its
+  :class:`~repro.runner.worker.ChunkPayload`; a remote payload is
+  moved onto the coordinator's clock by
+  :meth:`~repro.runner.worker.ChunkPayload.rebased` together with its
+  spans and telemetry, and the
+  :class:`~repro.runner.supervisor.ChunkSupervisor` re-sequences the
+  buffer into the coordinator's log with :meth:`EventLog.absorb` as
+  the payload lands -- so one log tells the whole multi-host story on
+  one clock.
 * **Optional JSONL sink.**  With a ``logfile`` the log appends one JSON
   line per event as it happens (``run --events FILE``), which is what
   ``obs tail --follow`` and the CI artifact consume.
@@ -271,18 +275,16 @@ class EventLog:
     def absorb(
         self,
         events: Iterable[Event],
-        clock_offset: float = 0.0,
         host: str | None = None,
         worker: int | str | None = None,
     ) -> int:
         """Merge events recorded elsewhere (a worker buffer).
 
         Each event is re-sequenced into this log (its remote ``seq`` is
-        discarded -- sequence numbers are a property of the owning log),
-        its timestamp shifted by ``clock_offset`` onto this log's clock,
+        discarded -- sequence numbers are a property of the owning log)
         and, when ``host``/``worker`` are given, stamped with the
-        producing host and worker -- the same rebasing contract the
-        tracer applies to remote spans.  Returns how many events landed.
+        producing host and worker.  Timestamps must already be on this
+        log's clock.  Returns how many events landed.
         """
         fallback_worker = worker if worker is not None else host
         count = 0
@@ -290,7 +292,7 @@ class EventLog:
             self._append(
                 Event(
                     seq=-1,
-                    ts=event.ts + clock_offset,
+                    ts=event.ts,
                     name=event.name,
                     level=event.level,
                     run_id=event.run_id or self.run_id,

@@ -107,9 +107,11 @@ def status_from_events(
         elif event.name == ev.CHUNK_DISPATCHED:
             pass  # in-flight state is tracked per worker below
         elif event.name == ev.CHUNK_STARTED:
-            slot = worker_slot(event.worker if event.worker is not None else event.host)
-            slot["state"] = "busy"
-            slot["host"] = event.host
+            key = event.worker if event.worker is not None else event.host
+            if key is not None:  # None: the coordinator's serial fallback
+                slot = worker_slot(key)
+                slot["state"] = "busy"
+                slot["host"] = event.host
         elif event.name == ev.CHUNK_COMPLETED:
             status["chunks"]["done"] += 1
             status["tasks"]["done"] += data.get(
@@ -149,6 +151,11 @@ def status_from_events(
         elif event.name == ev.RUN_DEGRADED:
             status["degraded"] = True
             status["state"] = "degraded"
+            if "chunks" in data:
+                # the whole workload reruns in-process as one chunk:
+                # progress restarts in that geometry, not the lost pool's
+                status["chunks"].update(total=data["chunks"], done=0)
+                status["tasks"] = {"total": data["tasks"], "done": 0}
         elif event.name == ev.RUN_FINISHED:
             status["state"] = "finished"
             finished_ts = event.ts

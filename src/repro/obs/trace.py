@@ -21,10 +21,13 @@ Three layers:
   return a shared ``nullcontext`` / return immediately, so tracing
   disabled costs one context-variable read per shard.
 * export -- :meth:`Tracer.to_chrome` / :meth:`Tracer.export` emit the
-  trace-event format, and :func:`chrome_events_from_record` renders a
-  stored :class:`~repro.runner.record.RunRecord` chunk timeline
-  (duration events per chunk plus a ``workers.active`` counter series)
-  without needing a live tracer.
+  trace-event format, drawing each event of the run's
+  :class:`~repro.obs.events.EventLog` as an instant marker (the trace
+  keeps no second copy of the run's narrative), and
+  :func:`chrome_events_from_record` renders a stored
+  :class:`~repro.runner.record.RunRecord` chunk timeline (duration
+  events per chunk plus a ``workers.active`` counter series) without
+  needing a live tracer.
 
 Process-safety: every chunk records into its own fresh tracer (see
 :func:`repro.runner.worker.execute_chunk`) and ships the span buffer
@@ -45,9 +48,10 @@ from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.serialize import write_json
+from repro.obs.events import Event
 
 _NULL_CONTEXT = nullcontext()
 
@@ -188,18 +192,9 @@ class Tracer:
         with self._lock:
             return list(self._counters)
 
-    @property
-    def instants(self) -> list[InstantEvent]:
-        with self._lock:
-            return list(self._instants)
-
     def find(self, name: str) -> list[Span]:
         """All spans called ``name``."""
         return [s for s in self.spans if s.name == name]
-
-    def find_instants(self, name: str) -> list[InstantEvent]:
-        """All instant markers called ``name``."""
-        return [i for i in self.instants if i.name == name]
 
     # -- export --------------------------------------------------------
 
@@ -207,16 +202,21 @@ class Tracer:
         """Microseconds since the tracer epoch (clamped at zero)."""
         return max(0.0, (t - self.epoch) * 1e6)
 
-    def to_chrome(self) -> dict[str, Any]:
-        """The Chrome trace-event document for everything recorded."""
+    def to_chrome(self, events: Iterable[Event] = ()) -> dict[str, Any]:
+        """The Chrome trace-event document for everything recorded.
+
+        Each of ``events`` (a run's event log) becomes a ``ph: "i"``
+        marker named after the event, on track 0 of the process that
+        produced it, with the event's fields as ``args``.
+        """
         with self._lock:
             spans = list(self._spans)
             instants = list(self._instants)
             counters = list(self._counters)
             track_names = dict(self._track_names)
-        events: list[dict[str, Any]] = []
+        out: list[dict[str, Any]] = []
         for (pid, tid), name in sorted(track_names.items()):
-            events.append(
+            out.append(
                 {
                     "name": "thread_name",
                     "ph": "M",
@@ -237,7 +237,7 @@ class Tracer:
             }
             if s.args:
                 ev["args"] = s.args
-            events.append(ev)
+            out.append(ev)
         for i in sorted(instants, key=lambda i: i.ts):
             ev = {
                 "name": i.name,
@@ -250,9 +250,24 @@ class Tracer:
             }
             if i.args:
                 ev["args"] = i.args
-            events.append(ev)
+            out.append(ev)
+        for e in events:
+            doc = e.as_dict()
+            del doc["t"], doc["name"]
+            out.append(
+                {
+                    "name": e.name,
+                    "cat": "event",
+                    "ph": "i",
+                    "s": "t",
+                    "ts": self._us(e.ts),
+                    "pid": e.pid,
+                    "tid": 0,
+                    "args": doc,
+                }
+            )
         for c in sorted(counters, key=lambda c: c.ts):
-            events.append(
+            out.append(
                 {
                     "name": c.name,
                     "ph": "C",
@@ -261,11 +276,11 @@ class Tracer:
                     "args": {"value": c.value},
                 }
             )
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+        return {"traceEvents": out, "displayTimeUnit": "ms"}
 
-    def export(self, path: Path | str) -> Path:
-        """Write the Chrome trace-event JSON to ``path``."""
-        return write_json(path, self.to_chrome())
+    def export(self, path: Path | str, events: Iterable[Event] = ()) -> Path:
+        """Write the Chrome trace-event JSON (with ``events`` as markers)."""
+        return write_json(path, self.to_chrome(events))
 
 
 # -- module-level activation ------------------------------------------

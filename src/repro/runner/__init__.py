@@ -41,7 +41,6 @@ from repro.runner.engine import (
 )
 from repro.runner.executors import (
     ChunkEvent,
-    ExecutionContext,
     Executor,
     ExecutorCapabilities,
     LocalExecutor,
@@ -82,7 +81,6 @@ __all__ = [
     "ChunkTrace",
     "DistributedExecutor",
     "EngineRun",
-    "ExecutionContext",
     "Executor",
     "ExecutorCapabilities",
     "FailureEvent",

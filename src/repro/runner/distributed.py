@@ -67,24 +67,19 @@ import threading
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, ClassVar, Iterator
 
 from repro.obs import events as ev
 from repro.obs.events import EventLog
-from repro.obs.trace import Span
-from repro.runner.executors import (
-    ChunkEvent,
-    ExecutionContext,
-    Executor,
-    ExecutorCapabilities,
-)
-from repro.runner.worker import ChunkPayload, WorkerState, execute_chunk
+from repro.runner.executors import ChunkEvent, Executor, ExecutorCapabilities
+from repro.runner.worker import WorkerState, execute_chunk
 
 #: Wire protocol version; bumped on incompatible frame changes.  v2
 #: ships the ``workload`` frame as one ``WorkerState`` and chunk
-#: payloads as ``ChunkPayload`` objects.
-PROTOCOL_VERSION = 2
+#: payloads as ``ChunkPayload`` objects; v3 gives the payload typed
+#: ``events``/``spans``/``profile``/``telemetry`` fields.
+PROTOCOL_VERSION = 3
 
 #: Frame header: 8-byte big-endian payload length.
 _HEADER = struct.Struct("!Q")
@@ -374,15 +369,16 @@ class _Host:
 class DistributedExecutor(Executor):
     """Coordinator for ``repro worker`` daemons over TCP.
 
-    Streams chunk specs to remote daemons, rebases their results onto
-    the coordinator's clock, stamps per-host provenance into every
-    payload, and reports lost hosts and deadline overruns as ordinary
-    chunk events the supervisor can retry elsewhere.
+    Streams chunk specs to remote daemons, rebases each result onto
+    the coordinator's clock with :meth:`ChunkPayload.rebased
+    <repro.runner.worker.ChunkPayload.rebased>` (which also stamps the
+    host label), and reports lost hosts and deadline overruns as
+    ordinary chunk events the supervisor can retry elsewhere.
     """
 
     name: ClassVar[str] = "distributed"
     capabilities: ClassVar[ExecutorCapabilities] = ExecutorCapabilities(
-        timeouts=True, kill=False, remote=True, live_events=True
+        timeouts=True, kill=False, remote=True
     )
 
     def __init__(
@@ -391,7 +387,6 @@ class DistributedExecutor(Executor):
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
         heartbeat_timeout: float = DEFAULT_HEARTBEAT_TIMEOUT,
         steal_after: float | None = STEAL_AFTER_SECONDS,
-        tracer: Any = None,
     ) -> None:
         if not hosts:
             raise ValueError(
@@ -404,7 +399,6 @@ class DistributedExecutor(Executor):
         self.connect_timeout = connect_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.steal_after = steal_after
-        self.tracer = tracer
         self.respawns = 0
         self._hosts: dict[str, _Host] = {}
         self._events: queue_mod.Queue[ChunkEvent] = queue_mod.Queue()
@@ -414,9 +408,9 @@ class DistributedExecutor(Executor):
 
     @classmethod
     def from_options(
-        cls, *, hosts: list[str] | None = None, tracer: Any = None, **_: Any
+        cls, *, hosts: list[str] | None = None, **_: Any
     ) -> "DistributedExecutor":
-        return cls(hosts=hosts or [], tracer=tracer)
+        return cls(hosts=hosts or [])
 
     @property
     def parallelism(self) -> int:
@@ -424,9 +418,9 @@ class DistributedExecutor(Executor):
 
     # -- lifecycle ----------------------------------------------------
 
-    def open(self, context: ExecutionContext) -> None:
-        self._event_log = context.events
-        workload_msg = {"type": "workload", "state": context.worker_state()}
+    def open(self, state: WorkerState, events: EventLog | None = None) -> None:
+        self._event_log = events
+        workload_msg = {"type": "workload", "state": state}
         errors: list[str] = []
         for spec in self.host_specs:
             try:
@@ -656,11 +650,6 @@ class DistributedExecutor(Executor):
                     ev.CHUNK_STOLEN, "warning", chunk=(start, stop),
                     host=thief.label, attempt=attempt,
                 )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "chunk.stolen", cat="engine", start=start, stop=stop,
-                    host=thief.label,
-                )
             # ordinal is only used for fault injection; speculative
             # copies reuse the chunk's start as a stable stand-in
             self._send_chunk(thief, start, stop, start, attempt)
@@ -697,7 +686,7 @@ class DistributedExecutor(Executor):
                 self._lose(host, str(exc) or type(exc).__name__)
 
     def _result_event(self, host: _Host, msg: dict[str, Any]) -> ChunkEvent:
-        payload = self._rebase(host, msg["payload"])
+        payload = msg["payload"].rebased(host.clock_offset, host.label)
         chunk = (payload.start, payload.stop)
         with self._lock:
             if host.current is not None and host.current[0] == chunk:
@@ -705,33 +694,6 @@ class DistributedExecutor(Executor):
         return ChunkEvent(
             kind="ok", chunk=chunk, attempt=msg.get("attempt", 0),
             payload=payload, worker=host.label, pid=payload.pid,
-        )
-
-    def _rebase(self, host: _Host, payload: ChunkPayload) -> ChunkPayload:
-        """Shift remote ``perf_counter`` readings onto our clock and
-        stamp the payload with its host label."""
-        off = host.clock_offset
-        spans, obs = payload.spans, payload.obs
-        if spans:
-            spans = [
-                Span(
-                    name=s.name, cat=s.cat, begin=s.begin + off, end=s.end + off,
-                    pid=s.pid, tid=s.tid, args=s.args,
-                )
-                for s in spans
-            ]
-        if obs and obs.get("telemetry") is not None:
-            for sample in obs["telemetry"].samples:
-                sample.ts += off
-        if obs:
-            # the worker's buffered events merge into the coordinator
-            # log here, clock-rebased exactly like the spans above
-            buffered = obs.pop("events", None)
-            if buffered and self._event_log is not None:
-                self._event_log.absorb(buffered, clock_offset=off, host=host.label)
-        return replace(
-            payload, begin=payload.begin + off, end=payload.end + off,
-            spans=spans, host=host.label,
         )
 
     def _lose(self, host: _Host, reason: str) -> None:
@@ -747,10 +709,6 @@ class DistributedExecutor(Executor):
             self._event_log.emit(
                 ev.HOST_LOST, "error", host=host.label,
                 pid=host.remote_pid, reason=reason,
-            )
-        if self.tracer is not None:
-            self.tracer.instant(
-                "host.lost", cat="engine", host=host.label, reason=reason
             )
         if current is not None:
             chunk, attempt, _deadline, _since = current

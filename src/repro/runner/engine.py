@@ -55,7 +55,9 @@ The engine is the root publisher of the :mod:`repro.obs` layer:
   Every chunk records kernel adapters'
   :func:`~repro.obs.trace.kernel_span` regions into its own buffer and
   ships it back with the chunk result, where the engine merges it at
-  the shard boundary.
+  the shard boundary.  The tracer keeps no copy of the run's
+  narrative: exporting the trace with the run's event log draws each
+  event (retries, quarantines, respawns, ...) as an instant marker.
 * Every run fills a :class:`~repro.obs.metrics.MetricsRegistry`
   (prepare/execute seconds, cache hits, tasks and work per second,
   per-task-work and per-worker histograms).  In-process runs also
@@ -121,12 +123,7 @@ from repro.obs.telemetry import (
 )
 from repro.obs.trace import Span, Tracer, activated
 from repro.runner.cache import ShardCheckpoint, WorkloadCache
-from repro.runner.executors import (
-    ExecutionContext,
-    Executor,
-    SerialExecutor,
-    make_executor,
-)
+from repro.runner.executors import Executor, SerialExecutor, make_executor
 from repro.runner.faults import FaultPlan
 from repro.runner.record import ChunkTrace, RunRecord, WorkerStats
 from repro.runner.retry import BackoffPolicy
@@ -135,7 +132,7 @@ from repro.runner.supervisor import (
     ChunkSupervisor,
     SupervisedExecution,
 )
-from repro.runner.worker import ChunkPayload, execute_chunk
+from repro.runner.worker import ChunkPayload, WorkerState, execute_chunk
 
 #: Chunks handed out per worker on average; OpenMP's dynamic default is
 #: chunk=1, but per-chunk IPC in Python argues for coarser grains while
@@ -425,9 +422,7 @@ class ParallelRunner:
             slots = 1
             chunk_size = max(1, n_tasks)
         else:
-            executor = make_executor(
-                spec, jobs=jobs, hosts=self.hosts, tracer=self.tracer
-            )
+            executor = make_executor(spec, jobs=jobs, hosts=self.hosts)
             slots = max(1, executor.parallelism)
             chunk_size = self._effective_chunk_size(n_tasks, slots)
         serial_seconds = None
@@ -476,14 +471,12 @@ class ParallelRunner:
             degraded = True
             slots = 1
             chunk_size = max(1, n_tasks)
+            # the rerun's geometry: the live fold restarts progress here
             self.events.emit(
                 ev.RUN_DEGRADED, "error", executor=executor.name,
                 error=f"{type(exc).__name__}: {exc}",
+                chunks=1, tasks=n_tasks, chunk_size=chunk_size,
             )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "engine.degraded", cat="engine", error=str(exc)
-                )
             result, chunks, workers, elapsed, supervised, resumed_chunks, obs = (
                 self._execute(
                     bench, workload, size, n_tasks, chunk_size, SerialExecutor(),
@@ -734,14 +727,13 @@ class ParallelRunner:
             if self.instrument and in_process
             else None
         )
-        context = ExecutionContext(
+        state = WorkerState(
             bench=bench,
             workload=workload,
-            tracer=self.tracer,
+            trace_enabled=self.tracer is not None,
             fault_plan=None if in_process else self.fault_plan,
             profile_hz=self.profile_hz if self.profile else None,
             telemetry_interval=self.telemetry_interval if self.telemetry else None,
-            events=self.events,
             instr=instr,
         )
         checkpoint = (
@@ -768,23 +760,19 @@ class ParallelRunner:
                         ev.CHUNK_COMPLETED, "debug", chunk=chunk,
                         tasks=chunk[1] - chunk[0], resumed=True,
                     )
-            if preloaded and self.tracer is not None:
-                self.tracer.instant(
-                    "engine.resume", cat="engine", chunks=len(preloaded)
-                )
         resumed_chunks = len(preloaded)
 
+        # the on_failure="serial" fallback runs in this process, unfaulted
+        fallback_state = replace(state, fault_plan=None)
         supervisor = ChunkSupervisor(
             executor,
             timeout=self.timeout,
             retries=self.retries,
             backoff=self.backoff,
             on_failure=self.on_failure,
-            # the on_failure="serial" fallback runs in this process, unfaulted
             serial_fallback=lambda start, stop: execute_chunk(
-                replace(context.worker_state(), fault_plan=None), start, stop, 0, 0
+                fallback_state, start, stop, 0, 0
             ),
-            tracer=self.tracer,
             on_chunk_done=checkpoint.store if checkpoint is not None else None,
             events=self.events,
         )
@@ -795,7 +783,7 @@ class ParallelRunner:
         try:
             # open() raising OSError (no pool, no reachable host) rides
             # the same degrade path as a supervisor-detected total loss
-            executor.open(context)
+            executor.open(state, self.events)
             with metrics_ctx, self._span(
                 "engine.execute",
                 kernel=bench.name,
@@ -838,24 +826,15 @@ class ParallelRunner:
             stats.chunks += 1
             stats.tasks += p.stop - p.start
             stats.busy_seconds += p.end - p.begin
-            if p.obs:
-                # per-worker observability merges at the shard boundary,
-                # the same model as the span buffers below
-                buffered_events = p.obs.pop("events", None)
-                if buffered_events:
-                    # backends absorb worker events as payloads land (so
-                    # the live plane sees them); this catches the rest,
-                    # such as the serial fallback's
-                    self.events.absorb(buffered_events, worker=worker)
-                chunk_profile = p.obs.get("profile")
-                if chunk_profile is not None:
-                    execute_profile.merge(chunk_profile)
-                chunk_telemetry = p.obs.get("telemetry")
-                if chunk_telemetry is not None:
-                    if worker in obs.telemetry:
-                        obs.telemetry[worker].extend(chunk_telemetry)
-                    else:
-                        obs.telemetry[worker] = chunk_telemetry
+            # per-worker profiles and telemetry merge at the shard
+            # boundary, the same model as the span buffers below
+            if p.profile is not None:
+                execute_profile.merge(p.profile)
+            if p.telemetry is not None:
+                if worker in obs.telemetry:
+                    obs.telemetry[worker].extend(p.telemetry)
+                else:
+                    obs.telemetry[worker] = p.telemetry
             if self.tracer is not None:
                 # merge the worker's span buffer at the shard boundary,
                 # and give the chunk itself a span on the worker's track

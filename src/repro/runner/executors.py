@@ -7,8 +7,9 @@ quarantine, checkpointing) stays in
 :class:`~repro.runner.supervisor.ChunkSupervisor`, which drives any
 backend through the same four calls:
 
-* :meth:`Executor.open` -- install the prepared workload and per-run
-  configuration (an :class:`ExecutionContext`);
+* :meth:`Executor.open` -- install the run's
+  :class:`~repro.runner.worker.WorkerState` and the event log the
+  backend narrates its own lifecycle into;
 * :meth:`Executor.submit` -- dispatch one chunk attempt;
 * :meth:`Executor.collect` -- poll for :class:`ChunkEvent` completions
   and failures, including backend self-healing (deadline kills, dead
@@ -22,7 +23,10 @@ are honored (``timeouts``), whether a misbehaving worker can be killed
 (``remote``).  The supervisor consults the flags instead of assuming --
 a serial backend cannot interrupt a hung chunk, a TCP backend cannot
 terminate a remote process, and both still plug into the same retry and
-quarantine machinery.
+quarantine machinery.  Chunk payloads come back through
+:meth:`Executor.collect` untouched apart from a remote backend's clock
+rebase; the supervisor merges their worker-side events into the run's
+log.
 
 Backends register by name so the choice is data, not code: ``run
 --executor local|serial|distributed`` on the CLI and
@@ -42,11 +46,8 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, ClassVar
 
-from repro.core.benchmark import Benchmark
-from repro.core.instrument import Instrumentation
 from repro.obs import events as ev
 from repro.obs.events import EventLog
-from repro.obs.trace import Tracer
 from repro.runner.faults import FaultPlan, InjectedFault
 from repro.runner.worker import ChunkPayload, WorkerState, execute_chunk, worker_main
 
@@ -63,67 +64,15 @@ class ExecutorCapabilities:
     ``"timeout"`` event).  ``kill`` -- a misbehaving worker process can
     be terminated outright.  ``remote`` -- chunks execute off the
     coordinator machine, so payloads carry host provenance and clocks
-    need rebasing.  ``live_events`` -- workers forward structured
-    events back to the coordinator's :class:`~repro.obs.events.EventLog`
-    while the run executes (the live status plane sees their progress).
+    need rebasing.
     """
 
     timeouts: bool = False
     kill: bool = False
     remote: bool = False
-    live_events: bool = False
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "timeouts": self.timeouts,
-            "kill": self.kill,
-            "remote": self.remote,
-            "live_events": self.live_events,
-        }
-
-
-@dataclass
-class ExecutionContext:
-    """Everything a backend needs to run one workload's chunks.
-
-    ``tracer`` and ``events`` are the coordinator-side span tracer and
-    event log; neither is shipped to workers (only the booleans
-    ``trace_enabled``/``events_enabled`` travel in the
-    :class:`~repro.runner.worker.WorkerState` -- workers buffer their
-    own spans and events and ship them back inside the chunk payload).
-    ``instr`` is the op-count tally of an in-process run (see
-    :class:`~repro.runner.worker.WorkerState`).
-    """
-
-    bench: Benchmark
-    workload: Any
-    tracer: Tracer | None = None
-    fault_plan: FaultPlan | None = None
-    profile_hz: float | None = None
-    telemetry_interval: float | None = None
-    events: "EventLog | None" = None
-    instr: Instrumentation | None = None
-
-    @property
-    def trace_enabled(self) -> bool:
-        return self.tracer is not None
-
-    @property
-    def events_enabled(self) -> bool:
-        return self.events is not None
-
-    def worker_state(self) -> WorkerState:
-        """The state every chunk of this run executes against."""
-        return WorkerState(
-            bench=self.bench,
-            workload=self.workload,
-            trace_enabled=self.trace_enabled,
-            fault_plan=self.fault_plan,
-            profile_hz=self.profile_hz,
-            telemetry_interval=self.telemetry_interval,
-            events_enabled=self.events_enabled,
-            instr=self.instr,
-        )
+        return {"timeouts": self.timeouts, "kill": self.kill, "remote": self.remote}
 
 
 @dataclass
@@ -146,22 +95,6 @@ class ChunkEvent:
     error: str | None = None
 
 
-def absorb_chunk_events(
-    log: EventLog | None, payload: ChunkPayload, worker: int
-) -> None:
-    """Merge a chunk's buffered worker events into ``log`` as it lands.
-
-    For backends sharing the coordinator's ``perf_counter`` clock, so
-    no offset applies.  The buffer is popped from the payload so the
-    engine's merge never counts it twice.
-    """
-    if log is None or not payload.obs:
-        return
-    buffered = payload.obs.pop("events", None)
-    if buffered:
-        log.absorb(buffered, worker=worker)
-
-
 class Executor(abc.ABC):
     """One execution backend the supervisor can dispatch chunks through."""
 
@@ -179,7 +112,6 @@ class Executor(abc.ABC):
         *,
         jobs: int = 1,
         hosts: list[str] | None = None,
-        tracer: Tracer | None = None,
         **_: Any,
     ) -> "Executor":
         """Build an instance from the engine's normalized run options."""
@@ -191,9 +123,11 @@ class Executor(abc.ABC):
         return 1
 
     @abc.abstractmethod
-    def open(self, context: ExecutionContext) -> None:
-        """Install the workload; raise ``OSError`` if the backend cannot
-        start at all (the engine then degrades to in-process serial)."""
+    def open(self, state: WorkerState, events: EventLog | None = None) -> None:
+        """Install the run's state; raise ``OSError`` if the backend
+        cannot start at all (the engine then degrades to in-process
+        serial).  ``events`` receives the backend's own lifecycle
+        events (spawns, deaths, lost hosts)."""
 
     @abc.abstractmethod
     def has_capacity(self) -> bool:
@@ -274,13 +208,12 @@ def make_executor(
     *,
     jobs: int = 1,
     hosts: list[str] | None = None,
-    tracer: Tracer | None = None,
 ) -> Executor:
     """Resolve an executor choice (name, instance or ``None`` = local)."""
     if isinstance(spec, Executor):
         return spec
     cls = get(spec or "local")
-    return cls.from_options(jobs=jobs, hosts=hosts, tracer=tracer)
+    return cls.from_options(jobs=jobs, hosts=hosts)
 
 
 # -- serial backend ---------------------------------------------------
@@ -303,24 +236,21 @@ class SerialExecutor(Executor):
 
     name: ClassVar[str] = "serial"
     capabilities: ClassVar[ExecutorCapabilities] = ExecutorCapabilities(
-        timeouts=False, kill=False, remote=False, live_events=True
+        timeouts=False, kill=False, remote=False
     )
 
     def __init__(self) -> None:
         self.respawns = 0
         self._state: WorkerState | None = None
         self._fault_plan: FaultPlan | None = None
-        self._log: EventLog | None = None
         self._events: list[ChunkEvent] = []
 
-    def open(self, context: ExecutionContext) -> None:
-        state = context.worker_state()
+    def open(self, state: WorkerState, events: EventLog | None = None) -> None:
         # faults fire translated in submit(), never inside the chunk
         self._fault_plan = state.fault_plan
         self._state = (
             state if state.fault_plan is None else replace(state, fault_plan=None)
         )
-        self._log = context.events
 
     def has_capacity(self) -> bool:
         return True
@@ -343,7 +273,6 @@ class SerialExecutor(Executor):
                 )
             )
             return
-        absorb_chunk_events(self._log, payload, worker=0)
         self._events.append(
             ChunkEvent(
                 kind="ok", chunk=chunk, attempt=attempt, payload=payload,
@@ -427,14 +356,13 @@ class LocalExecutor(Executor):
 
     name: ClassVar[str] = "local"
     capabilities: ClassVar[ExecutorCapabilities] = ExecutorCapabilities(
-        timeouts=True, kill=True, remote=False, live_events=True
+        timeouts=True, kill=True, remote=False
     )
 
-    def __init__(self, jobs: int = 1, tracer: Tracer | None = None) -> None:
+    def __init__(self, jobs: int = 1) -> None:
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs
-        self.tracer = tracer
         self.respawns = 0
         self._ctx: Any = None
         self._outbox: Any = None
@@ -444,10 +372,8 @@ class LocalExecutor(Executor):
         self._events: EventLog | None = None
 
     @classmethod
-    def from_options(
-        cls, *, jobs: int = 1, tracer: Tracer | None = None, **_: Any
-    ) -> "LocalExecutor":
-        return cls(jobs=jobs, tracer=tracer)
+    def from_options(cls, *, jobs: int = 1, **_: Any) -> "LocalExecutor":
+        return cls(jobs=jobs)
 
     @property
     def parallelism(self) -> int:
@@ -455,13 +381,11 @@ class LocalExecutor(Executor):
 
     # -- lifecycle ----------------------------------------------------
 
-    def open(self, context: ExecutionContext) -> None:
-        if context.tracer is not None:
-            self.tracer = context.tracer
-        self._events = context.events
+    def open(self, state: WorkerState, events: EventLog | None = None) -> None:
+        self._events = events
         use_fork = "fork" in multiprocessing.get_all_start_methods()
         self._ctx = multiprocessing.get_context("fork" if use_fork else "spawn")
-        self._state = context.worker_state()
+        self._state = state
         self._outbox = self._ctx.Queue()
         self._workers = {}
 
@@ -556,7 +480,6 @@ class LocalExecutor(Executor):
             attempt = worker.attempt if worker is not None else 0
             if worker is not None and worker.current == chunk:
                 worker.release()
-            absorb_chunk_events(self._events, payload, worker_id)
             return ChunkEvent(
                 kind="ok", chunk=chunk, attempt=attempt, payload=payload,
                 worker=worker_id, pid=payload.pid,
@@ -613,17 +536,15 @@ class LocalExecutor(Executor):
                     )
         return events
 
-    def _respawn(self, worker_id: int, **instant_args: Any) -> None:
+    def _respawn(self, worker_id: int, **data: Any) -> None:
         del self._workers[worker_id]
         replacement = self._spawn()
         self.respawns += 1
         if self._events is not None:
             self._events.emit(
                 ev.WORKER_RESPAWNED, "warning", worker=replacement.worker_id,
-                pid=replacement.process.pid, replaced=worker_id, **instant_args,
+                pid=replacement.process.pid, replaced=worker_id, **data,
             )
-        if self.tracer is not None:
-            self.tracer.instant("worker.respawn", cat="engine", **instant_args)
 
 
 register_lazy("distributed", "repro.runner.distributed:DistributedExecutor")

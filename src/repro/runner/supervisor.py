@@ -24,7 +24,12 @@ backend rather than a baked-in process pool:
   serially in the parent process;
 * every failed attempt becomes a
   :class:`~repro.runner.record.FailureEvent` in the run record, so the
-  recovery story is part of the run's machine-readable provenance.
+  recovery story is part of the run's machine-readable provenance;
+* the supervisor is the one place worker-side events enter the run's
+  :class:`~repro.obs.events.EventLog`: it absorbs the buffer of every
+  landed payload -- stale speculative copies and the serial fallback's
+  included -- as it collects them, so the live plane sees chunk
+  progress on every backend.
 
 Capability flags gate what the supervisor asks of a backend: deadlines
 are only set when ``capabilities.timeouts`` holds, so a serial backend
@@ -46,7 +51,6 @@ from typing import Callable
 from repro.core.benchmark import ExecutionResult
 from repro.obs import events as ev
 from repro.obs.events import EventLog
-from repro.obs.trace import Tracer
 from repro.runner.executors import ChunkEvent, Executor
 from repro.runner.record import FailureEvent
 from repro.runner.retry import BackoffPolicy
@@ -112,15 +116,14 @@ class ChunkSupervisor:
     serial_fallback:
         Parent-side executor for the ``"serial"`` policy (and only
         then); maps ``(start, stop)`` to a :data:`ChunkPayload`.
-    tracer:
-        Optional tracer for retry/quarantine instants.
     on_chunk_done:
         Optional callback ``(start, stop, result)`` invoked as each
         chunk completes -- the checkpoint hook.
     events:
         Optional :class:`~repro.obs.events.EventLog` receiving the
         chunk-lifecycle narrative (dispatched/completed/retried/
-        quarantined/failed/fallback-serial) as it happens.
+        quarantined/failed/fallback-serial) and every landed payload's
+        worker-side events as they happen.
     """
 
     def __init__(
@@ -131,7 +134,6 @@ class ChunkSupervisor:
         backoff: BackoffPolicy | None = None,
         on_failure: str = "fail",
         serial_fallback: Callable[[int, int], ChunkPayload] | None = None,
-        tracer: Tracer | None = None,
         on_chunk_done: Callable[[int, int, ExecutionResult], None] | None = None,
         events: EventLog | None = None,
     ) -> None:
@@ -149,7 +151,6 @@ class ChunkSupervisor:
         self.backoff = backoff or BackoffPolicy()
         self.on_failure = on_failure
         self.serial_fallback = serial_fallback
-        self.tracer = tracer
         self.on_chunk_done = on_chunk_done
         self.events = events
         self._seq = 0
@@ -157,6 +158,11 @@ class ChunkSupervisor:
     def _emit(self, name: str, level: str = "info", **kwargs) -> None:
         if self.events is not None:
             self.events.emit(name, level, **kwargs)
+
+    def _absorb(self, payload: ChunkPayload, worker: int | str | None) -> None:
+        """Merge a landed payload's worker-side events into the run's log."""
+        if self.events is not None and payload.events:
+            self.events.absorb(payload.events, worker=worker, host=payload.host)
 
     # -- supervision loop ---------------------------------------------
 
@@ -224,6 +230,7 @@ class ChunkSupervisor:
     ) -> None:
         chunk = event.chunk
         if event.kind == "ok":
+            self._absorb(event.payload, event.worker)
             if chunk not in results and chunk not in quarantined:
                 results[chunk] = event.payload
                 self._emit(
@@ -287,11 +294,6 @@ class ChunkSupervisor:
                 worker=event.worker, pid=event.pid,
                 kind=event.kind, error=event.error, delay=round(delay, 6),
             )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "chunk.retry", cat="engine", start=start, stop=stop,
-                    attempt=attempt + 1, kind=event.kind, delay=delay,
-                )
             return
         # retry budget exhausted: the chunk is poisoned
         if self.on_failure == "fail":
@@ -305,11 +307,9 @@ class ChunkSupervisor:
                 ev.FALLBACK_SERIAL, "warning", chunk=chunk, attempt=attempt,
                 kind=event.kind, error=event.error,
             )
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "chunk.serial_fallback", cat="engine", start=start, stop=stop
-                )
             payload = self.serial_fallback(start, stop)
+            # runs in this process: no backend worker slot to attribute
+            self._absorb(payload, None)
             results[chunk] = payload
             if self.on_chunk_done is not None:
                 self.on_chunk_done(start, stop, payload.result)
@@ -319,8 +319,3 @@ class ChunkSupervisor:
             ev.CHUNK_QUARANTINED, "error", chunk=chunk, attempt=attempt,
             worker=event.worker, kind=event.kind, error=event.error,
         )
-        if self.tracer is not None:
-            self.tracer.instant(
-                "chunk.quarantined", cat="engine", start=start, stop=stop,
-                kind=event.kind,
-            )

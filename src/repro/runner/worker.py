@@ -24,17 +24,18 @@ sharing one process therefore cannot see each other's workloads.
 
 from __future__ import annotations
 
+import copy
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.core.benchmark import Benchmark, ExecutionResult, as_execution_result
 from repro.core.instrument import Instrumentation
 from repro.obs import events as ev
-from repro.obs.profile import SamplingProfiler
-from repro.obs.telemetry import TelemetrySampler
+from repro.obs.profile import SamplingProfiler, StackProfile
+from repro.obs.telemetry import TelemetrySampler, TelemetrySeries
 from repro.obs.trace import Span, Tracer, activated
 from repro.runner.faults import FaultPlan
 
@@ -44,10 +45,10 @@ class WorkerState:
     """Everything a process needs to execute chunks of one run.
 
     ``profile_hz`` / ``telemetry_interval`` of ``None`` disable the
-    respective sampler; ``trace_enabled`` / ``events_enabled`` turn on
-    the per-chunk span and event buffers.  ``instr`` is the op-count
-    tally kernels add to; only in-process runs set it, because counts
-    made in another process never come back.
+    respective sampler; ``trace_enabled`` turns on the per-chunk span
+    buffer.  ``instr`` is the op-count tally kernels add to; only
+    in-process runs set it, because counts made in another process
+    never come back.
     """
 
     bench: Benchmark
@@ -56,22 +57,21 @@ class WorkerState:
     fault_plan: FaultPlan | None = None
     profile_hz: float | None = None
     telemetry_interval: float | None = None
-    events_enabled: bool = False
     instr: Instrumentation | None = None
 
 
 @dataclass
 class ChunkPayload:
-    """A completed chunk attempt, as shipped back to the coordinator.
+    """A completed chunk attempt and everything observed while it ran.
 
-    ``begin``/``end`` are ``perf_counter`` readings of the executing
-    process.  ``spans`` is the chunk's span buffer (tracing on).
-    ``obs`` holds the chunk's ``"profile"`` (a
-    :class:`~repro.obs.profile.StackProfile`), ``"telemetry"`` (a
-    :class:`~repro.obs.telemetry.TelemetrySeries`) and ``"events"``
-    buffer, each present only when its capture is on.  ``host`` is
-    ``None`` on the coordinator's machine; distributed backends stamp
-    the worker endpoint so per-host provenance reaches the run record.
+    ``begin``/``end`` and every timestamp in ``events``, ``spans`` and
+    ``telemetry`` are ``perf_counter`` readings of the executing
+    process; :meth:`rebased` moves them onto the coordinator's clock.
+    ``events`` always holds the worker-side ``chunk_started`` /
+    ``chunk_finished`` pair; ``spans``, ``profile`` and ``telemetry``
+    are filled only when their capture is on.  ``host`` is ``None`` on
+    the coordinator's machine; distributed backends stamp the worker
+    endpoint so per-host provenance reaches the run record.
     """
 
     start: int
@@ -80,9 +80,29 @@ class ChunkPayload:
     pid: int
     begin: float
     end: float
-    spans: list[Span] | None = None
-    obs: dict[str, Any] | None = None
+    events: list[ev.Event] = field(default_factory=list)
+    spans: list[Span] = field(default_factory=list)
+    profile: StackProfile | None = None
+    telemetry: TelemetrySeries | None = None
     host: str | None = None
+
+    def rebased(self, offset: float, host: str) -> "ChunkPayload":
+        """A copy shifted ``offset`` seconds onto another clock, from ``host``."""
+        telemetry = copy.copy(self.telemetry)
+        if telemetry is not None:
+            telemetry.samples = [replace(s, ts=s.ts + offset) for s in telemetry.samples]
+        return replace(
+            self,
+            begin=self.begin + offset,
+            end=self.end + offset,
+            events=[replace(e, ts=e.ts + offset) for e in self.events],
+            spans=[
+                replace(s, begin=s.begin + offset, end=s.end + offset)
+                for s in self.spans
+            ],
+            telemetry=telemetry,
+            host=host,
+        )
 
 
 def execute_chunk(
@@ -91,17 +111,12 @@ def execute_chunk(
     """Run tasks ``[start, stop)`` in this process (injection-aware)."""
     chunk = (start, stop)
     pid = os.getpid()
-    events: list[ev.Event] | None = None
-    if state.events_enabled:
-        # Buffered on this process's clock; the coordinator re-sequences
-        # (and, for remote hosts, clock-rebases) them when the payload
-        # lands -- same contract as spans.
-        events = [
-            ev.Event(
-                seq=0, ts=time.perf_counter(), name=ev.CHUNK_STARTED,
-                level="debug", chunk=chunk, attempt=attempt, pid=pid,
-            )
-        ]
+    # buffered on this process's clock; the supervisor re-sequences
+    # them into the run's log when the payload lands
+    started = ev.Event(
+        seq=0, ts=time.perf_counter(), name=ev.CHUNK_STARTED,
+        level="debug", chunk=chunk, attempt=attempt, pid=pid,
+    )
     if state.fault_plan is not None:
         # deterministic chaos: may raise, sleep past any deadline, or
         # kill this process outright -- before any real work happens
@@ -111,7 +126,7 @@ def execute_chunk(
     telemetry = (
         TelemetrySampler(state.telemetry_interval) if state.telemetry_interval else None
     )
-    obs: dict[str, Any] = {}
+    profile = series = None
     t0 = time.perf_counter()
     try:
         if profiler is not None:
@@ -127,22 +142,20 @@ def execute_chunk(
             )
     finally:
         if profiler is not None:
-            obs["profile"] = profiler.stop()
+            profile = profiler.stop()
         if telemetry is not None:
-            obs["telemetry"] = telemetry.stop()
+            series = telemetry.stop()
     t1 = time.perf_counter()
-    if events is not None:
-        events.append(
-            ev.Event(
-                seq=1, ts=t1, name=ev.CHUNK_FINISHED, level="debug",
-                chunk=chunk, attempt=attempt, pid=pid,
-                data={"tasks": stop - start, "seconds": round(t1 - t0, 6)},
-            )
-        )
-        obs["events"] = events
+    finished = ev.Event(
+        seq=1, ts=t1, name=ev.CHUNK_FINISHED, level="debug",
+        chunk=chunk, attempt=attempt, pid=pid,
+        data={"tasks": stop - start, "seconds": round(t1 - t0, 6)},
+    )
     return ChunkPayload(
         start=start, stop=stop, result=result, pid=pid, begin=t0, end=t1,
-        spans=tracer.spans if tracer is not None else None, obs=obs or None,
+        events=[started, finished],
+        spans=tracer.spans if tracer is not None else [],
+        profile=profile, telemetry=series,
     )
 
 

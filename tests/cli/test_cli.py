@@ -140,6 +140,19 @@ class TestFaultTolerance:
         assert "ok" in capsys.readouterr().out
 
 
+def _repeat_entry(history, n):
+    """Make a one-entry history ``n`` copies of that live entry.
+
+    Live ~7 ms grm runs vary by more than the gate's 20% (on a busy
+    box, by more than 2x), so histories of several live runs flake;
+    copies keep the gate's inputs fixed.
+    """
+    doc = json.loads(history.read_text())
+    (entry,) = doc["entries"]
+    doc["entries"] = [entry] * n
+    history.write_text(json.dumps(doc))
+
+
 class TestBench:
     def test_record_appends_history(self, tmp_path, capsys):
         history = tmp_path / "BENCH_ci.json"
@@ -153,15 +166,15 @@ class TestBench:
 
     def test_check_passes_without_regression(self, tmp_path, capsys):
         history = tmp_path / "BENCH_ci.json"
-        for _ in range(3):
-            main(["bench", "record", "grm", "--no-cache", "--history", str(history)])
+        main(["bench", "record", "grm", "--no-cache", "--history", str(history)])
+        _repeat_entry(history, 3)
         assert main(["bench", "check", "--baseline", str(history)]) == 0
         assert "ok" in capsys.readouterr().out
 
     def test_check_fails_on_injected_slowdown(self, tmp_path, capsys):
         history = tmp_path / "BENCH_ci.json"
-        for _ in range(3):
-            main(["bench", "record", "grm", "--no-cache", "--history", str(history)])
+        main(["bench", "record", "grm", "--no-cache", "--history", str(history)])
+        _repeat_entry(history, 3)
         doc = json.loads(history.read_text())
         slow = json.loads(json.dumps(doc["entries"][-1]))
         slow["execute_seconds"] *= 2  # inject a 2x slowdown
@@ -192,9 +205,9 @@ class TestBench:
     @pytest.mark.skipif(not telemetry_supported(), reason="no procfs")
     def test_check_rss_threshold_gates_memory_growth(self, tmp_path, capsys):
         history = tmp_path / "BENCH_ci.json"
-        for _ in range(3):
-            main(["bench", "record", "grm", "--no-cache", "--telemetry",
-                  "--history", str(history)])
+        main(["bench", "record", "grm", "--no-cache", "--telemetry",
+              "--history", str(history)])
+        _repeat_entry(history, 3)
         doc = json.loads(history.read_text())
         fat = json.loads(json.dumps(doc["entries"][-1]))
         fat["telemetry"]["peak_rss_bytes"] *= 10  # inject a 10x RSS blow-up
@@ -354,8 +367,9 @@ class TestLiveObservability:
         with pytest.raises(SystemExit):
             main(["obs", "tail", str(tmp_path / "nope.jsonl")])
 
-    def test_runner_executors_lists_live_event_support(self, capsys):
+    def test_runner_executors_lists_capabilities(self, capsys):
         assert main(["runner", "executors"]) == 0
         out = capsys.readouterr().out
-        assert "live events" in out
-        assert "yes" in out
+        assert "timeouts" in out and "remote" in out
+        # every backend forwards worker events, so no per-backend column
+        assert "live events" not in out

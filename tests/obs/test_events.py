@@ -102,17 +102,18 @@ class TestEventLog:
         log.emit("a")
         assert [e.seq for e in log.find("a")] == [0, 2]
 
-    def test_absorb_rebases_clock_and_stamps_host(self):
+    def test_absorb_resequences_and_stamps_host(self):
+        # the clock shift is ChunkPayload.rebased's job (tests/runner/test_worker.py)
         log = EventLog()
         remote = [
-            Event(seq=0, ts=100.0, name="chunk_started", level="debug", worker=None),
-            Event(seq=1, ts=101.0, name="chunk_finished", level="debug", worker=3),
+            Event(seq=7, ts=100.0, name="chunk_started", level="debug", worker=None),
+            Event(seq=8, ts=101.0, name="chunk_finished", level="debug", worker=3),
         ]
-        n = log.absorb(remote, clock_offset=-90.0, host="hostA:1")
+        n = log.absorb(remote, host="hostA:1")
         assert n == 2
         absorbed = log.events
         assert [e.seq for e in absorbed] == [0, 1]
-        assert absorbed[0].ts == pytest.approx(10.0)
+        assert absorbed[0].ts == 100.0
         assert absorbed[0].host == "hostA:1"
         # missing worker falls back to the host label; present ones survive
         assert absorbed[0].worker == "hostA:1"

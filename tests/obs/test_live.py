@@ -3,6 +3,7 @@
 import json
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
 
@@ -103,6 +104,50 @@ class TestStatusFold:
         assert status["tasks"]["done"] == 25
         assert status["hosts"]["h:1"]["state"] == "lost"
         assert status["workers"]["0"]["state"] == "dead"
+
+    def test_degrade_restarts_progress_in_the_one_chunk_geometry(self):
+        # the pool finished one chunk of four before it was lost
+        events = [
+            _mk(0, 0.0, ev.RUN_STARTED, data={"kernel": "toy"}),
+            _mk(1, 0.1, ev.EXECUTE_STARTED, data={"chunks": 4, "tasks": 8}),
+            _mk(2, 0.2, ev.CHUNK_COMPLETED, chunk=(0, 2), worker=0,
+                data={"tasks": 2}),
+            _mk(3, 0.3, ev.RUN_DEGRADED, level="error",
+                data={"chunks": 1, "tasks": 8, "chunk_size": 8}),
+            _mk(4, 0.4, ev.CHUNK_COMPLETED, chunk=(0, 8), worker=0,
+                data={"tasks": 8}),
+            _mk(5, 0.5, ev.RUN_FINISHED, data={"seconds": 0.4}),
+        ]
+        status = status_from_events(events, now=1.0)
+        assert status["state"] == "finished" and status["degraded"]
+        assert (status["chunks"]["done"], status["chunks"]["total"]) == (1, 1)
+        assert status["tasks"] == {"total": 8, "done": 8}
+
+    def test_degraded_engine_run_folds_to_complete_progress(self, monkeypatch):
+        from repro.core.datasets import DatasetSize
+        from repro.runner import ParallelRunner
+        from repro.runner.executors import LocalExecutor
+        from tests.runner.test_events_flow import ToyBench
+
+        def lost(*args, **kwargs):
+            raise OSError("every pool worker lost")
+
+        monkeypatch.setattr(LocalExecutor, "collect", lost)
+        bench = ToyBench(n_tasks=8)
+        log = EventLog()
+        runner = ParallelRunner(
+            jobs=2, chunk_size=2, measure_serial=False, events=log
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            run = runner.execute(
+                bench, bench.prepare(DatasetSize.SMALL), DatasetSize.SMALL
+            )
+        assert run.record.degraded
+        status = status_from_events(log.events)
+        assert status["state"] == "finished"
+        assert (status["chunks"]["done"], status["chunks"]["total"]) == (1, 1)
+        assert status["tasks"] == {"total": 8, "done": 8}
 
     def test_status_metrics_is_valid_openmetrics(self):
         text = status_metrics(status_from_events(_narrative(), now=12.0))

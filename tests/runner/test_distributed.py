@@ -92,12 +92,12 @@ class TestExecutorConstruction:
         # a bound-but-never-accepting port: connect succeeds, handshake dies
         ex = DistributedExecutor(hosts=["127.0.0.1:1"], connect_timeout=0.5)
         from repro.core import DatasetSize, load_benchmark
-        from repro.runner.executors import ExecutionContext
+        from repro.runner.worker import WorkerState
 
         bench = load_benchmark("grm")
-        ctx = ExecutionContext(bench=bench, workload=bench.prepare(DatasetSize.SMALL))
+        state = WorkerState(bench=bench, workload=bench.prepare(DatasetSize.SMALL))
         with pytest.raises(OSError):
-            ex.open(ctx)
+            ex.open(state)
 
 
 class TestDistributedRun:

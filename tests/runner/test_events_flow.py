@@ -7,6 +7,7 @@ fault plans and assert on the narrative that lands in the schema-v5
 run record.
 """
 
+import os
 import warnings
 
 import pytest
@@ -14,7 +15,8 @@ import pytest
 from repro.core.benchmark import Benchmark, ExecutionResult
 from repro.core.datasets import DatasetSize
 from repro.obs import events as ev
-from repro.obs.events import EventLog
+from repro.obs.events import Event, EventLog
+from repro.obs.live import status_from_events
 from repro.runner import FaultPlan, ParallelRunner
 from repro.runner.record import SCHEMA
 
@@ -49,6 +51,9 @@ def _run(bench, workload, **kwargs):
 def toy():
     bench = ToyBench(n_tasks=8)
     return bench, bench.prepare(DatasetSize.SMALL)
+
+
+PAIRS = [(0, 2), (2, 4), (4, 6), (6, 8)]
 
 
 def _names(record):
@@ -92,6 +97,37 @@ class TestHealthyNarratives:
         # chunk bounds cover the whole workload, no overlaps
         ranges = sorted(tuple(e["chunk"]) for e in completed)
         assert ranges == [(0, 2), (2, 4), (4, 6), (6, 8)]
+
+    @pytest.mark.parametrize(
+        "kwargs, chunks, in_coordinator",
+        [
+            (dict(jobs=1), [(0, 8)], [(0, 8)]),
+            (dict(jobs=2, chunk_size=2), PAIRS, []),
+            (dict(jobs=2, chunk_size=2, executor="serial"), PAIRS, PAIRS),
+            (
+                dict(
+                    jobs=2, chunk_size=2, on_failure="serial",
+                    fault_plan=FaultPlan.parse("raise@0x9"),
+                ),
+                PAIRS,
+                [(0, 2)],
+            ),
+        ],
+        ids=["jobs1", "pool", "serial-executor", "serial-fallback"],
+    )
+    def test_each_executed_attempt_is_absorbed_once(
+        self, toy, kwargs, chunks, in_coordinator
+    ):
+        bench, workload = toy
+        run = _run(bench, workload, **kwargs)
+        _assert_well_formed(run.record)
+        for name in (ev.CHUNK_STARTED, ev.CHUNK_FINISHED):
+            landed = [e for e in run.record.events if e["name"] == name]
+            assert sorted(tuple(e["chunk"]) for e in landed) == chunks
+            here = [tuple(e["chunk"]) for e in landed if e["pid"] == os.getpid()]
+            assert sorted(here) == in_coordinator
+        status = status_from_events([Event.from_dict(e) for e in run.record.events])
+        assert "None" not in status["workers"]
 
     def test_gapless_seq_within_the_record_slice(self, toy):
         bench, workload = toy

@@ -6,7 +6,6 @@ import repro.runner.executors as executors_mod
 from repro.core import DatasetSize, load_benchmark
 from repro.runner.executors import (
     ChunkEvent,
-    ExecutionContext,
     Executor,
     ExecutorCapabilities,
     LocalExecutor,
@@ -18,12 +17,13 @@ from repro.runner.executors import (
     register,
 )
 from repro.runner.supervisor import ChunkSupervisor
+from repro.runner.worker import WorkerState
 
 
-def small_context():
+def small_state():
     bench = load_benchmark("grm")
     workload = bench.prepare(DatasetSize.SMALL)
-    return bench, ExecutionContext(bench=bench, workload=workload)
+    return bench, WorkerState(bench=bench, workload=workload)
 
 
 class TestRegistry:
@@ -66,37 +66,36 @@ class TestRegistry:
         assert "echo-test" not in names()
 
     def test_make_executor_default_is_local(self):
-        ex = make_executor(None, jobs=2, hosts=None, tracer=None)
+        ex = make_executor(None, jobs=2, hosts=None)
         assert isinstance(ex, LocalExecutor)
         assert ex.parallelism == 2
 
     def test_make_executor_by_name(self):
-        ex = make_executor("serial", jobs=4, hosts=None, tracer=None)
+        ex = make_executor("serial", jobs=4, hosts=None)
         assert isinstance(ex, SerialExecutor)
         assert ex.parallelism == 1
 
     def test_make_executor_passes_instance_through(self):
         instance = SerialExecutor()
-        assert make_executor(instance, jobs=1, hosts=None, tracer=None) is instance
+        assert make_executor(instance, jobs=1, hosts=None) is instance
 
     def test_make_executor_unknown_name(self):
         with pytest.raises(ValueError, match="serial"):
-            make_executor("nonexistent", jobs=1, hosts=None, tracer=None)
+            make_executor("nonexistent", jobs=1, hosts=None)
 
 
 class TestCapabilities:
     def test_capability_flags(self):
         assert LocalExecutor.capabilities == ExecutorCapabilities(
-            timeouts=True, kill=True, remote=False, live_events=True
+            timeouts=True, kill=True, remote=False
         )
         assert SerialExecutor.capabilities == ExecutorCapabilities(
-            timeouts=False, kill=False, remote=False, live_events=True
+            timeouts=False, kill=False, remote=False
         )
 
     def test_as_dict_round_trip(self):
         d = LocalExecutor.capabilities.as_dict()
-        assert d == {"timeouts": True, "kill": True, "remote": False,
-                     "live_events": True}
+        assert d == {"timeouts": True, "kill": True, "remote": False}
 
     def test_describe_reports_name_and_capabilities(self):
         info = SerialExecutor().describe()
@@ -109,9 +108,9 @@ class TestSerialExecutor:
         assert issubclass(SerialExecutor, Executor)
 
     def test_submit_collect_round_trip(self):
-        bench, ctx = small_context()
+        bench, state = small_state()
         ex = SerialExecutor()
-        ex.open(ctx)
+        ex.open(state)
         try:
             assert ex.has_capacity()
             ex.submit(0, 2, 0, 0)
@@ -128,10 +127,10 @@ class TestSerialExecutor:
         assert payload.host is None
 
     def test_supervised_run_covers_all_chunks(self):
-        bench, ctx = small_context()
+        bench, state = small_state()
         bounds = [(0, 2), (2, 4), (4, 6)]
         ex = SerialExecutor()
-        ex.open(ctx)
+        ex.open(state)
         try:
             out = ChunkSupervisor(ex).run(bounds, [])
         finally:
@@ -140,19 +139,19 @@ class TestSerialExecutor:
         assert not out.failures
 
     def test_shutdown_idempotent(self):
-        _, ctx = small_context()
+        _, state = small_state()
         ex = SerialExecutor()
-        ex.open(ctx)
+        ex.open(state)
         ex.shutdown()
         ex.shutdown()
 
 
 class TestLocalExecutor:
     def test_supervised_run_in_subprocesses(self):
-        bench, ctx = small_context()
+        bench, state = small_state()
         bounds = [(0, 3), (3, 6)]
         ex = LocalExecutor(jobs=2)
-        ex.open(ctx)
+        ex.open(state)
         try:
             out = ChunkSupervisor(ex).run(bounds, [])
         finally:
