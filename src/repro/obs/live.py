@@ -25,19 +25,19 @@ clock-rebased.  This is the load-bearing interface for the ROADMAP's
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
-from urllib.parse import parse_qs, urlparse
 
 from repro.obs import events as ev
 from repro.obs.events import Event, EventLog
-
-#: Default bind address; the live plane is a loopback diagnostic port,
-#: not a public service.
-DEFAULT_HOST = "127.0.0.1"
+from repro.obs.httpd import (
+    DEFAULT_HOST,
+    OPENMETRICS,
+    HttpError,
+    HttpServer,
+    Reply,
+    Request,
+)
 
 
 def status_from_events(
@@ -216,124 +216,54 @@ def status_metrics(status: dict[str, Any]) -> str:
     return encode_openmetrics(doc, labels)
 
 
-class _LiveHandler(BaseHTTPRequestHandler):
-    """Routes ``/status``, ``/metrics`` and ``/events`` over one log."""
-
-    #: Set by :class:`LiveServer` on the handler subclass it serves with.
-    events: EventLog
+class LiveServer(HttpServer):
+    """A live status server bound to one :class:`EventLog`; its daemon
+    thread never outlives or blocks the run."""
 
     server_version = "repro-live/1"
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # a diagnostics port must not spam the run's stderr
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        parsed = urlparse(self.path)
-        route = parsed.path.rstrip("/") or "/"
-        if route == "/status":
-            self._send_json(status_from_events(self.events.events))
-        elif route == "/metrics":
-            body = status_metrics(status_from_events(self.events.events))
-            self._send(200, body, "application/openmetrics-text; version=1.0.0")
-        elif route == "/events":
-            query = parse_qs(parsed.query)
-            try:
-                since = int(query.get("since", ["-1"])[0])
-            except ValueError:
-                self._send_json({"error": "since must be an integer"}, code=400)
-                return
-            level = query.get("level", [None])[0]
-            tail = self.events.tail(since=since, level=level)
-            self._send_json(
-                {
-                    "events": [e.as_dict(epoch=self.events.epoch) for e in tail],
-                    "next": tail[-1].seq if tail else max(since, -1),
-                }
-            )
-        elif route == "/":
-            self._send_json(
-                {
-                    "service": "repro live observability",
-                    "endpoints": ["/status", "/metrics", "/events?since=SEQ"],
-                }
-            )
-        else:
-            self._send_json({"error": f"no such endpoint {route!r}"}, code=404)
-
-    def _send_json(self, doc: dict[str, Any], code: int = 200) -> None:
-        self._send(code, json.dumps(doc, indent=2) + "\n", "application/json")
-
-    def _send(self, code: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-reply; nothing to clean up
-
-
-class LiveServer:
-    """A live status server bound to one :class:`EventLog`.
-
-    Serves on a daemon thread so it never outlives or blocks the run;
-    ``port=0`` binds an ephemeral port (tests).  Use as a context
-    manager or call :meth:`start` / :meth:`stop` explicitly.
-    """
-
-    def __init__(
-        self,
-        events: EventLog,
-        port: int = 0,
-        host: str = DEFAULT_HOST,
-    ) -> None:
+    def __init__(self, events: EventLog, port: int = 0, host: str = DEFAULT_HOST) -> None:
+        super().__init__(port, host)
         self.events = events
-        self.host = host
-        self._requested_port = port
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
 
-    @property
-    def port(self) -> int:
-        """The actually bound port (resolves ``port=0``)."""
-        if self._server is None:
-            return self._requested_port
-        return self._server.server_address[1]
+    def _index(self, req: Request) -> dict[str, Any]:
+        return {"service": "repro live observability", "endpoints": self.endpoints()}
 
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
+    def _metrics(self, req: Request) -> Reply:
+        return Reply(status_metrics(status_from_events(self.events.events)), 200, OPENMETRICS)
 
-    def start(self) -> "LiveServer":
-        if self._server is not None:
-            return self
-        handler = type("BoundLiveHandler", (_LiveHandler,), {"events": self.events})
-        self._server = ThreadingHTTPServer(
-            (self.host, self._requested_port), handler
-        )
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"repro-live-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
+    def _events(self, req: Request) -> dict[str, Any]:
+        try:
+            since = int(req.arg("since", "-1"))
+        except ValueError:
+            raise HttpError(400, "since must be an integer") from None
+        level = req.arg("level")
+        if level is not None and level not in ev.LEVELS:
+            raise HttpError(400, f"unknown level {level!r}; valid: {', '.join(ev.LEVELS)}")
+        tail = self.events.tail(since=since, level=level)
+        return {
+            "events": [e.as_dict(epoch=self.events.epoch) for e in tail],
+            "next": tail[-1].seq if tail else max(since, -1),
+        }
 
-    def stop(self) -> None:
-        if self._server is None:
-            return
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(2.0)
-        self._server = None
-        self._thread = None
-
-    def __enter__(self) -> "LiveServer":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+    routes = (
+        {"method": "GET", "path": "/", "description": "this index", "handler": _index},
+        {
+            "method": "GET",
+            "path": "/status",
+            "description": "run progress folded from the event log",
+            "handler": lambda self, req: status_from_events(self.events.events),
+        },
+        {
+            "method": "GET",
+            "path": "/metrics",
+            "description": "the same progress as OpenMetrics",
+            "handler": _metrics,
+        },
+        {
+            "method": "GET",
+            "path": "/events?since=SEQ&level=LEVEL",
+            "description": "events after SEQ at or above LEVEL",
+            "handler": _events,
+        },
+    )

@@ -39,12 +39,12 @@ JOB_TYPES = ("run", "sweep")
 
 #: Engine knobs a run job may set in ``config`` -- exactly the keyword
 #: surface of :func:`repro.api.run` that is safe to take from the wire
-#: (no live objects, no fault injection).
+#: (no live objects, no fault injection, and no ``hosts``: the
+#: coordinator unpickles whatever the hosts it dials send back).
 RUN_CONFIG_KEYS = (
     "jobs",
     "chunk_size",
     "executor",
-    "hosts",
     "retries",
     "timeout",
     "on_failure",
@@ -136,34 +136,36 @@ def _parse_priority(doc: dict[str, Any]) -> int:
     return priority
 
 
-def _parse_config(raw: Any) -> dict[str, Any]:
+def _parse_config(raw: Any, where: str = "config") -> dict[str, Any]:
+    """Check engine keywords from the wire (a run's ``config``, a sweep's
+    ``base`` or one axis value); ``where`` names them in errors."""
     if raw is None:
         return {}
     if not isinstance(raw, dict):
-        _fail(f"config must be an object, got {type(raw).__name__}")
+        _fail(f"{where} must be an object, got {type(raw).__name__}")
     unknown = set(raw) - set(RUN_CONFIG_KEYS)
     if unknown:
         _fail(
-            f"unknown config keys: {', '.join(sorted(unknown))}; "
+            f"unknown {where} keys: {', '.join(sorted(unknown))}; "
             f"valid keys: {', '.join(RUN_CONFIG_KEYS)}"
         )
     config = dict(raw)
     for key in ("jobs", "chunk_size", "retries"):
         value = config.get(key)
         if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            _fail(f"config.{key} must be an integer, got {value!r}")
+            _fail(f"{where}.{key} must be an integer, got {value!r}")
     timeout = config.get("timeout")
     if timeout is not None and not isinstance(timeout, (int, float)):
-        _fail(f"config.timeout must be a number, got {timeout!r}")
-    hosts = config.get("hosts")
-    if hosts is not None and (
-        not isinstance(hosts, list) or not all(isinstance(h, str) for h in hosts)
-    ):
-        _fail(f"config.hosts must be a list of 'host:port' strings, got {hosts!r}")
+        _fail(f"{where}.timeout must be a number, got {timeout!r}")
+    if config.get("executor") == "distributed":
+        _fail(
+            f"{where}.executor 'distributed' is refused: its hosts can only be "
+            "named on the command line (--hosts)"
+        )
     on_failure = config.get("on_failure")
     if on_failure is not None and on_failure not in ("fail", "quarantine", "serial"):
         _fail(
-            f"config.on_failure must be one of fail, quarantine, serial; "
+            f"{where}.on_failure must be one of fail, quarantine, serial; "
             f"got {on_failure!r}"
         )
     return config
@@ -195,12 +197,20 @@ def parse_job_spec(doc: Any) -> JobSpec:
 
         try:
             spec = SweepSpec.from_dict(raw)
+            sweep_spec = spec.to_dict()
         except (ValueError, TypeError, KeyError) as exc:
             _fail(f"invalid sweep spec: {exc}")
+        # every engine keyword a cell runs with obeys the run-job rules
+        _parse_config(spec.base, "spec.base")
+        for kernel in spec.kernels:
+            for axis, values in spec.axes_for(kernel).items():
+                if axis != "size":
+                    for value in values:
+                        _parse_config({axis: value}, "spec.axes")
         return JobSpec(
             kind="sweep",
             size=spec.size,
-            sweep_spec=spec.to_dict(),
+            sweep_spec=sweep_spec,
             priority=_parse_priority(doc),
         )
 

@@ -2,7 +2,7 @@
 
 This is the layer that turns the CLI suite into a traffic-serving
 system: a long-lived stdlib HTTP daemon (the same
-``ThreadingHTTPServer`` pattern as the live plane in
+:mod:`repro.obs.httpd` skin as the live plane in
 :mod:`repro.obs.live`) in front of a :class:`JobService` --
 
 * an admission-controlled **priority queue** (bounded depth -> HTTP
@@ -16,9 +16,10 @@ system: a long-lived stdlib HTTP daemon (the same
   jobs from disk without re-execution.
 
 The HTTP surface (reference: ``docs/service.md``) is enumerated in
-:data:`ROUTES` -- the one table the index endpoint, the documentation
-and the doc-drift test all read, so the docs cannot silently diverge
-from the server.  Every job runs with its own
+:data:`ROUTES` -- the one table that dispatches requests and that the
+index endpoint, the request metrics, the documentation and the
+doc-drift test all read, so the docs cannot silently diverge from the
+server.  Every job runs with its own
 :class:`~repro.obs.events.EventLog`; ``GET /jobs/{id}`` folds it
 through the same :func:`repro.obs.live.status_from_events` the live
 plane uses, so polling a running job shows chunk-level progress, and
@@ -27,20 +28,26 @@ the finished record carries the full narrative.
 
 from __future__ import annotations
 
-import json
 import math
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable
-from urllib.parse import parse_qs, urlparse
 
 from repro.obs import events as ev
 from repro.obs.events import EventLog, new_run_id
-from repro.obs.live import DEFAULT_HOST, status_from_events
+from repro.obs.httpd import (
+    DEFAULT_HOST,
+    HTML,
+    OPENMETRICS,
+    HttpError,
+    HttpServer,
+    Reply,
+    Request,
+)
+from repro.obs.live import status_from_events
 from repro.obs.metrics import LATENCY_BUCKETS, MetricsRegistry, quantile_from_dict
 from repro.obs.series import SAMPLE_SCHEMA, Sampler, SeriesStore
 from repro.service.queue import JobQueue, QueueClosed, QueueFull, TokenBucket
@@ -62,42 +69,6 @@ STATS_SCHEMA = "genomicsbench.service-stats/1"
 
 #: Default seconds between series-store samples (``--sample-interval``).
 DEFAULT_SAMPLE_INTERVAL = 5.0
-
-#: The service's public HTTP surface.  ``docs/service.md`` documents
-#: exactly these routes and ``tests/service/test_docs.py`` diffs the
-#: two, so adding a route without documenting it fails CI.
-ROUTES: tuple[dict[str, str], ...] = (
-    {"method": "GET", "path": "/", "description": "service index: endpoints and version"},
-    {"method": "GET", "path": "/healthz", "description": "liveness probe"},
-    {"method": "GET", "path": "/healthz?verbose=1", "description": "health plus SLO burn-rate detail"},
-    {"method": "GET", "path": "/stats", "description": "queue depth, tenants, counters"},
-    {"method": "GET", "path": "/metrics", "description": "OpenMetrics exposition of service metrics"},
-    {"method": "POST", "path": "/jobs", "description": "submit a run or sweep job"},
-    {"method": "GET", "path": "/jobs", "description": "list jobs (?status=, ?tenant=)"},
-    {"method": "GET", "path": "/jobs/{id}", "description": "job status (live fold while running)"},
-    {"method": "GET", "path": "/jobs/{id}/record", "description": "the finished record JSON"},
-    {"method": "GET", "path": "/jobs/{id}/report", "description": "self-contained HTML report"},
-)
-
-
-def route_template(path: str) -> str:
-    """Collapse a concrete request path onto its :data:`ROUTES` pattern.
-
-    Per-route metrics label on the *pattern* (``/jobs/{id}``, not each
-    job id) so request-counter cardinality stays bounded; anything off
-    the route table lands in ``other``.
-    """
-    path = path.rstrip("/") or "/"
-    if path in ("/", "/healthz", "/stats", "/metrics", "/jobs"):
-        return path
-    parts = path.split("/")
-    if len(parts) >= 2 and parts[1] == "jobs":
-        if len(parts) == 3:
-            return "/jobs/{id}"
-        if len(parts) == 4 and parts[3] in ("record", "report"):
-            return f"/jobs/{{id}}/{parts[3]}"
-    return "other"
-
 
 @dataclass
 class Job:
@@ -262,7 +233,7 @@ class JobService:
     def observe_request(
         self, method: str, template: str, status: int, seconds: float
     ) -> None:
-        """Record one handled HTTP request (the handler's exit hook)."""
+        """Record one answered HTTP request (the HTTP skin's per-reply hook)."""
         key = f"{method} {template}"
         with self._mlock:
             self.metrics.counter(f"http.requests.{key}.{status}").inc()
@@ -675,280 +646,156 @@ class JobService:
 # -- HTTP skin ---------------------------------------------------------
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Routes the job API over one :class:`JobService`."""
-
-    #: Set by :class:`ServiceServer` on the handler subclass it serves with.
-    service: JobService
-
-    server_version = "repro-serve/1"
-    # every reply carries Content-Length, so keep-alive is safe
-    protocol_version = "HTTP/1.1"
-    #: Submissions larger than this are rejected outright (413).
-    max_body_bytes = 1 << 20
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass  # the event log is the narrative; stderr stays quiet
-
-    # -- helpers -------------------------------------------------------
-
-    def send_response(self, code: int, message: str | None = None) -> None:
-        self._status_code = code  # remembered for the request metrics
-        super().send_response(code, message)
-
-    def _instrumented(self, handler: Callable[[], None]) -> None:
-        """Time one request and feed the per-route metrics on the way out."""
-        started = time.perf_counter()
-        self._status_code = 500
-        try:
-            handler()
-        finally:
-            try:
-                self.service.observe_request(
-                    self.command,
-                    route_template(urlparse(self.path).path),
-                    getattr(self, "_status_code", 500),
-                    time.perf_counter() - started,
-                )
-            except Exception:  # noqa: BLE001 - metrics must not break replies
-                pass
-
-    def _send_json(
-        self, doc: Any, code: int = 200, headers: dict[str, str] | None = None
-    ) -> None:
-        payload = (json.dumps(doc, indent=2, default=str) + "\n").encode("utf-8")
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            for name, value in (headers or {}).items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-reply
-
-    def _send_html(self, body: str, code: int = 200) -> None:
-        self._send_text(body, "text/html; charset=utf-8", code)
-
-    def _send_text(self, body: str, content_type: str, code: int = 200) -> None:
-        payload = body.encode("utf-8")
-        try:
-            self.send_response(code)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _job_or_404(self, job_id: str) -> Job | None:
-        job = self.service.get(job_id)
-        if job is None:
-            self._send_json({"error": f"no such job {job_id!r}"}, code=404)
-        return job
-
-    def _finished_record(self, job: Job) -> dict[str, Any] | None:
-        """The job's record, or an error response (None) when not ready."""
-        if job.status in ("queued", "running"):
-            self._send_json(
-                {
-                    "error": f"job {job.id} is {job.status}; no record yet",
-                    "status": job.status,
-                },
-                code=409,
-            )
-            return None
-        if job.status == "failed":
-            self._send_json(
-                {"error": f"job {job.id} failed: {job.error}", "status": "failed"},
-                code=409,
-            )
-            return None
-        record = self.service.record_for(job)
-        if record is None:
-            self._send_json(
-                {"error": f"job {job.id} finished but its record is gone"}, code=404
-            )
-            return None
-        return record
-
-    # -- verbs ---------------------------------------------------------
-
-    def do_GET(self) -> None:  # noqa: N802 - http.server contract
-        self._instrumented(self._handle_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - http.server contract
-        self._instrumented(self._handle_post)
-
-    def _handle_get(self) -> None:
-        parsed = urlparse(self.path)
-        route = parsed.path.rstrip("/") or "/"
-        query = parse_qs(parsed.query)
-        if route == "/":
-            from repro import __version__
-
-            self._send_json(
-                {
-                    "service": "genomicsbench repro serve",
-                    "version": __version__,
-                    "git_sha": self.service.git_sha,
-                    "endpoints": [
-                        f"{r['method']} {r['path']} -- {r['description']}"
-                        for r in ROUTES
-                    ],
-                }
-            )
-        elif route == "/healthz":
-            verbose = query.get("verbose", ["0"])[0] not in ("", "0", "false")
-            self._send_json(self.service.healthz(verbose))
-        elif route == "/stats":
-            self._send_json(self.service.stats())
-        elif route == "/metrics":
-            from repro.obs.report import encode_openmetrics
-
-            self._send_text(
-                encode_openmetrics(
-                    self.service.metrics_snapshot(),
-                    {"service": "repro-serve", "git_sha": self.service.git_sha},
-                ),
-                "application/openmetrics-text; version=1.0.0; charset=utf-8",
-            )
-        elif route == "/jobs":
-            status = query.get("status", [None])[0]
-            if status is not None and status not in JOB_STATES:
-                self._send_json(
-                    {
-                        "error": f"unknown status {status!r}; "
-                        f"valid: {', '.join(JOB_STATES)}"
-                    },
-                    code=400,
-                )
-                return
-            jobs = self.service.jobs(status, query.get("tenant", [None])[0])
-            self._send_json({"jobs": [j.as_dict(live=False) for j in jobs]})
-        elif route.startswith("/jobs/"):
-            parts = route.split("/")[2:]  # ['<id>'] or ['<id>', 'record'|'report']
-            job = self._job_or_404(parts[0])
-            if job is None:
-                return
-            if len(parts) == 1:
-                self._send_json(job.as_dict())
-            elif parts[1] == "record":
-                record = self._finished_record(job)
-                if record is not None:
-                    self._send_json(record)
-            elif parts[1] == "report":
-                record = self._finished_record(job)
-                if record is not None:
-                    self._send_html(_render_report(job, record))
-            else:
-                self._send_json(
-                    {"error": f"no such endpoint {route!r}"}, code=404
-                )
-        else:
-            self._send_json({"error": f"no such endpoint {route!r}"}, code=404)
-
-    def _handle_post(self) -> None:
-        route = urlparse(self.path).path.rstrip("/")
-        if route != "/jobs":
-            self._send_json({"error": f"no such endpoint {route!r}"}, code=404)
-            return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_json({"error": "bad Content-Length"}, code=400)
-            return
-        if length > self.max_body_bytes:
-            self._send_json(
-                {"error": f"body exceeds {self.max_body_bytes} bytes"}, code=413
-            )
-            return
-        try:
-            doc = json.loads(self.rfile.read(length) or b"{}")
-        except json.JSONDecodeError as exc:
-            self._send_json({"error": f"invalid JSON body: {exc}"}, code=400)
-            return
-        tenant = self.headers.get("X-Tenant", DEFAULT_TENANT).strip() or DEFAULT_TENANT
-        code, body, headers = self.service.submit(doc, tenant)
-        self._send_json(body, code=code, headers=headers)
-
-
-def _render_report(job: Job, record: dict[str, Any]) -> str:
-    """The job's self-contained HTML report, from its stored record."""
-    if job.spec.kind == "sweep":
-        from repro.obs.report import render_sweep_report
-        from repro.sweep.aggregate import SweepRecord
-
-        return render_sweep_report(SweepRecord.from_dict(record))
-    from repro.obs.report import render_report
-    from repro.runner.record import RunRecord
-
-    return render_report(RunRecord.from_dict(record))
-
-
-class ServiceServer:
+class ServiceServer(HttpServer):
     """The HTTP daemon bound to one :class:`JobService`.
 
-    The same lifecycle contract as :class:`repro.obs.live.LiveServer`:
-    a daemon serving thread, ``port=0`` binds an ephemeral port, use
-    as a context manager or call :meth:`start`/:meth:`stop`.
     ``stop`` shuts the HTTP listener *after* draining the job service,
     so in-flight work finishes before the socket disappears.
     """
 
-    def __init__(
-        self,
-        service: JobService,
-        port: int = DEFAULT_PORT,
-        host: str = DEFAULT_HOST,
-    ) -> None:
+    server_version = "repro-serve/1"
+
+    def __init__(self, service: JobService, port: int = DEFAULT_PORT, host: str = DEFAULT_HOST):
+        super().__init__(port, host)
         self.service = service
-        self.host = host
-        self._requested_port = port
-        self._server: ThreadingHTTPServer | None = None
-        self._thread: threading.Thread | None = None
 
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            return self._requested_port
-        return self._server.server_address[1]
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ServiceServer":
-        if self._server is not None:
-            return self
-        handler = type(
-            "BoundServiceHandler", (_ServiceHandler,), {"service": self.service}
-        )
-        self._server = ThreadingHTTPServer((self.host, self._requested_port), handler)
-        self._server.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._server.serve_forever,
-            name=f"repro-serve-{self.port}",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
+    def observed(self, method: str, template: str, code: int, seconds: float) -> None:
+        self.service.observe_request(method, template, code, seconds)
 
     def stop(self, drain: bool = True, timeout: float = 30.0) -> bool:
-        if self._server is None:
+        if self._httpd is None:
             return True
         clean = self.service.stop(drain=drain, timeout=timeout)
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(2.0)
-        self._server = None
-        self._thread = None
+        super().stop()
         return clean
 
-    def __enter__(self) -> "ServiceServer":
-        return self.start()
+    def _job(self, req: Request) -> Job:
+        job = self.service.get(req.params["id"])
+        if job is None:
+            raise HttpError(404, f"no such job {req.params['id']!r}")
+        return job
 
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()
+    def _finished(self, req: Request) -> tuple[Job, dict[str, Any]]:
+        """The job and its record; a 409 or 404 while there is none."""
+        job = self._job(req)
+        if job.status in ("queued", "running"):
+            raise HttpError(409, f"job {job.id} is {job.status}; no record yet", status=job.status)
+        if job.status == "failed":
+            raise HttpError(409, f"job {job.id} failed: {job.error}", status="failed")
+        record = self.service.record_for(job)
+        if record is None:
+            raise HttpError(404, f"job {job.id} finished but its record is gone")
+        return job, record
+
+    def _index(self, req: Request) -> dict[str, Any]:
+        from repro import __version__
+
+        return {
+            "service": "genomicsbench repro serve",
+            "version": __version__,
+            "git_sha": self.service.git_sha,
+            "endpoints": self.endpoints(),
+        }
+
+    def _healthz(self, req: Request) -> dict[str, Any]:
+        return self.service.healthz(req.arg("verbose", "0") not in ("", "0", "false"))
+
+    def _metrics(self, req: Request) -> Reply:
+        from repro.obs.report import encode_openmetrics
+
+        labels = {"service": "repro-serve", "git_sha": self.service.git_sha}
+        return Reply(encode_openmetrics(self.service.metrics_snapshot(), labels), 200, OPENMETRICS)
+
+    def _submit(self, req: Request) -> Reply:
+        tenant = req.headers.get("X-Tenant", DEFAULT_TENANT).strip() or DEFAULT_TENANT
+        code, body, headers = self.service.submit(req.json(), tenant)
+        return Reply(body, code, headers=headers)
+
+    def _list(self, req: Request) -> dict[str, Any]:
+        status = req.arg("status")
+        if status is not None and status not in JOB_STATES:
+            raise HttpError(400, f"unknown status {status!r}; valid: {', '.join(JOB_STATES)}")
+        jobs = self.service.jobs(status, req.arg("tenant"))
+        return {"jobs": [j.as_dict(live=False) for j in jobs]}
+
+    def _report(self, req: Request) -> Reply:
+        job, record = self._finished(req)
+        if job.spec.kind == "sweep":
+            from repro.obs.report import render_sweep_report
+            from repro.sweep.aggregate import SweepRecord
+
+            html = render_sweep_report(SweepRecord.from_dict(record))
+        else:
+            from repro.obs.report import render_report
+            from repro.runner.record import RunRecord
+
+            html = render_report(RunRecord.from_dict(record))
+        return Reply(html, 200, HTML)
+
+    #: The service's public HTTP surface.  ``docs/service.md`` documents
+    #: exactly these routes and ``tests/service/test_docs.py`` diffs the
+    #: two, so adding a route without documenting it fails CI.
+    routes = (
+        {
+            "method": "GET",
+            "path": "/",
+            "description": "service index: endpoints and version",
+            "handler": _index,
+        },
+        {"method": "GET", "path": "/healthz", "description": "liveness probe", "handler": _healthz},
+        {
+            "method": "GET",
+            "path": "/healthz?verbose=1",
+            "description": "health plus SLO burn-rate detail",
+            "handler": _healthz,
+        },
+        {
+            "method": "GET",
+            "path": "/stats",
+            "description": "queue depth, tenants, counters",
+            "handler": lambda self, req: self.service.stats(),
+        },
+        {
+            "method": "GET",
+            "path": "/metrics",
+            "description": "OpenMetrics exposition of service metrics",
+            "handler": _metrics,
+        },
+        {
+            "method": "POST",
+            "path": "/jobs",
+            "description": "submit a run or sweep job",
+            "handler": _submit,
+        },
+        {
+            "method": "GET",
+            "path": "/jobs",
+            "description": "list jobs (?status=, ?tenant=)",
+            "handler": _list,
+        },
+        {
+            "method": "GET",
+            "path": "/jobs/{id}",
+            "description": "job status (live fold while running)",
+            "handler": lambda self, req: self._job(req).as_dict(),
+        },
+        {
+            "method": "GET",
+            "path": "/jobs/{id}/record",
+            "description": "the finished record JSON",
+            "handler": lambda self, req: self._finished(req)[1],
+        },
+        {
+            "method": "GET",
+            "path": "/jobs/{id}/report",
+            "description": "self-contained HTML report",
+            "handler": _report,
+        },
+    )
+
+
+#: The route table: dispatch, the ``GET /`` index and the metric labels.
+ROUTES = ServiceServer.routes
+
+#: Collapse a concrete request path onto its :data:`ROUTES` pattern.
+route_template = ServiceServer.template

@@ -96,6 +96,16 @@ def _validate_axes(axes: dict[str, Any], where: str) -> dict[str, list[Any]]:
     return out
 
 
+def _expect(
+    value: Any, kind: type | tuple[type, ...], name: str, what: str, item: type | None = None
+) -> None:
+    """Raise :class:`ValueError` unless ``value`` is a ``kind`` whose items
+    (values, for a mapping) are all ``item``s."""
+    items = value.values() if isinstance(value, dict) else value
+    if not isinstance(value, kind) or (item and not all(isinstance(v, item) for v in items)):
+        raise ValueError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class SweepSpec:
     """One normalized sweep definition.
@@ -118,18 +128,30 @@ class SweepSpec:
     base: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        from repro.sweep.expand import compile_filter
+
+        _expect(self.kernels, (list, tuple), "kernels", "a list of kernel names", str)
         for name in self.kernels:
             get_kernel(name)  # unknown kernels fail here, listing the registry
         self.size = coerce_size(self.size).value
+        _expect(self.axes, dict, "axes", "an object of axis value lists")
         self.axes = _validate_axes(self.axes, "axes")
+        _expect(self.per_kernel, dict, "per_kernel", "an object of per-kernel axes", dict)
         self.per_kernel = {
             kernel: _validate_axes(overrides, f"kernels.{kernel}.axes")
             for kernel, overrides in self.per_kernel.items()
         }
         for kernel in self.per_kernel:
             get_kernel(kernel)
-        if self.max_cells is not None and self.max_cells < 1:
-            raise ValueError("max_cells must be at least 1")
+        _expect(self.filters, (list, tuple), "filters", "a list of expressions", str)
+        for expr in self.filters:
+            compile_filter(expr)  # a bad filter fails here, before any cell runs
+        if self.max_cells is not None:
+            if isinstance(self.max_cells, bool) or not isinstance(self.max_cells, int):
+                raise ValueError(f"max_cells must be an integer, got {self.max_cells!r}")
+            if self.max_cells < 1:
+                raise ValueError("max_cells must be at least 1")
+        _expect(self.base, dict, "base", "an object of engine keywords")
 
     def axes_for(self, kernel: str) -> dict[str, list[Any]]:
         """The kernel's effective axes (global axes + per-kernel overrides)."""

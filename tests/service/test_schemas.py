@@ -57,7 +57,7 @@ class TestRunSpecs:
             ({"kernel": "grm", "config": {"jobs": "two"}}, "must be an integer"),
             ({"kernel": "grm", "config": {"jobs": True}}, "must be an integer"),
             ({"kernel": "grm", "config": {"timeout": "soon"}}, "must be a number"),
-            ({"kernel": "grm", "config": {"hosts": "h:1"}}, "list of"),
+            ({"kernel": "grm", "config": {"hosts": "h:1"}}, "unknown config keys"),
             ({"kernel": "grm", "config": {"on_failure": "explode"}}, "on_failure"),
             ({"kernel": "grm", "priority": "high"}, "priority"),
             ({"kernel": "grm", "priority": True}, "priority"),
