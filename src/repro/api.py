@@ -1,7 +1,7 @@
 """Stable programmatic facade over the benchmark suite.
 
-Three functions cover what scripts, notebooks and the CLI itself need,
-with the engine's many knobs normalized at this boundary once:
+Five functions cover what scripts, notebooks and the CLI itself need,
+with the engine's knobs checked once (``repro.runner.RunConfig``):
 
 * :func:`run` -- execute one kernel through the engine and get an
   :class:`~repro.runner.engine.EngineRun` (run record + live output);
@@ -31,8 +31,8 @@ worker.  Observability switches travel together in one
 This module is the *supported* API surface -- :func:`run`,
 :func:`sweep`, :func:`bench_record` and :func:`render_report` are the
 only entry points other code should build on.  ``repro.runner.engine``
-internals may reshuffle between versions, but these signatures only
-grow.  The ``repro serve`` job daemon (:mod:`repro.service`) is itself
+internals may reshuffle between versions, but these signatures stay
+put.  The ``repro serve`` job daemon (:mod:`repro.service`) is itself
 a client of exactly this facade: every job a worker executes goes
 through :func:`run` or the sweep driver, which is what lets executors,
 fault policies and the observability plane compose with the service
@@ -43,7 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Sequence
 
 from repro.core.datasets import DatasetSize, coerce_size
 from repro.core.registry import get_kernel, kernel_names
@@ -53,10 +53,7 @@ from repro.obs.telemetry import DEFAULT_INTERVAL
 from repro.obs.trace import Tracer
 from repro.runner.cache import WorkloadCache
 from repro.runner.engine import EngineRun, ParallelRunner
-from repro.runner.executors import Executor
-from repro.runner.faults import FaultPlan
 from repro.runner.record import RunRecord
-from repro.runner.retry import BackoffPolicy
 
 __all__ = [
     "ObsOptions",
@@ -98,52 +95,30 @@ def run(
     kernel: str,
     size: DatasetSize | str = DatasetSize.SMALL,
     *,
-    executor: "str | Executor | None" = None,
-    hosts: Sequence[str] | None = None,
-    jobs: int = 1,
-    chunk_size: int | None = None,
     cache: WorkloadCache | None = None,
-    measure_serial: bool | None = None,
-    timeout: float | None = None,
-    retries: int = 0,
-    on_failure: str = "fail",
-    backoff: BackoffPolicy | None = None,
-    fault_plan: FaultPlan | None = None,
-    resume: bool = False,
     obs: ObsOptions | None = None,
+    **knobs: Any,
 ) -> EngineRun:
     """Prepare and execute one kernel's workload through the engine.
 
-    ``executor`` picks the backend (``"local"`` supervised pool --
-    the default -- ``"serial"``, ``"distributed"`` with ``hosts``, a
-    registered third-party name, or an
-    :class:`~repro.runner.executors.Executor` instance).  Everything
-    else mirrors :class:`~repro.runner.engine.ParallelRunner`; see its
-    docstring for the fault-tolerance and caching semantics.
+    ``knobs`` are :class:`~repro.runner.config.RunConfig` fields, which
+    document the fault-tolerance and caching semantics; ``executor``
+    picks the backend.  ``obs`` sets the five capture switches of the
+    same names, so they are not knobs here.
     """
     get_kernel(kernel)  # unknown kernels fail here, listing the registry
     size = coerce_size(size)
     o = obs or ObsOptions()
     runner = ParallelRunner(
-        jobs=jobs,
-        executor=executor,
-        hosts=list(hosts) if hosts else None,
-        chunk_size=chunk_size,
         cache=cache,
-        measure_serial=measure_serial,
         tracer=o.tracer,
+        events=o.events,
         instrument=o.instrument,
-        timeout=timeout,
-        retries=retries,
-        on_failure=on_failure,
-        backoff=backoff,
-        fault_plan=fault_plan,
-        resume=resume,
         profile=o.profile,
         profile_hz=o.profile_hz,
         telemetry=o.telemetry,
         telemetry_interval=o.telemetry_interval,
-        events=o.events,
+        **knobs,
     )
     return runner.run(kernel, size)
 
@@ -152,17 +127,14 @@ def bench_record(
     kernels: Sequence[str] | None = None,
     size: DatasetSize | str = DatasetSize.SMALL,
     *,
-    executor: "str | Executor | None" = None,
-    hosts: Sequence[str] | None = None,
-    jobs: int = 1,
-    chunk_size: int | None = None,
     cache: WorkloadCache | None = None,
     history: "Path | str | None" = None,
-    telemetry: bool = False,
+    **knobs: Any,
 ) -> list[RunRecord]:
     """Run kernels and append their records to the bench history.
 
-    ``kernels`` of ``None`` runs the full catalogue.  Returns the
+    ``kernels`` of ``None`` runs the full catalogue; ``knobs`` are
+    :class:`~repro.runner.config.RunConfig` fields.  Returns the
     recorded :class:`~repro.runner.record.RunRecord` values after
     appending them to ``history`` (default: the per-host
     ``BENCH_<host>.json`` used by ``bench check`` regression gating).
@@ -175,15 +147,7 @@ def bench_record(
     for name in names:
         get_kernel(name)
     size = coerce_size(size)
-    runner = ParallelRunner(
-        jobs=jobs,
-        executor=executor,
-        hosts=list(hosts) if hosts else None,
-        chunk_size=chunk_size,
-        cache=cache,
-        measure_serial=False,
-        telemetry=telemetry,
-    )
+    runner = ParallelRunner(cache=cache, measure_serial=False, **knobs)
     records = [runner.run(name, size).record for name in names]
     BenchHistory(history).append(records)
     return records

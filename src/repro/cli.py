@@ -143,6 +143,17 @@ def _hosts_arg(text: str) -> list[str]:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
+def _check_knobs(command: str, **knobs) -> None:
+    """Check engine knobs as a :class:`~repro.runner.config.RunConfig`
+    before any kernel is prepared; a bad value is a usage error."""
+    from repro.runner.config import RunConfig
+
+    try:
+        RunConfig(**knobs)
+    except ValueError as exc:
+        raise SystemExit(f"{command}: {exc}") from None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     import repro.api as api
 
@@ -150,12 +161,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     for name in names:
         get_kernel(name)  # validate all names early with a helpful error
     size = coerce_size(args.size)
+    knobs = dict(
+        executor=args.executor,
+        hosts=args.hosts,
+        jobs=args.jobs,
+        chunk_size=args.chunk_size,
+        measure_serial=False if args.no_baseline else None,
+        timeout=args.timeout,
+        retries=args.retries,
+        on_failure=args.on_failure,
+        fault_plan=args.inject_faults or None,
+        resume=args.resume,
+    )
+    _check_knobs("run", **knobs, profile_hz=args.profile_hz)
     tracer = None
     if args.trace:
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
-    fault_plan = args.inject_faults or None
     if args.resume and args.no_cache:
         print("warning: --resume needs the workload cache; ignoring", file=sys.stderr)
     # one event log shared across the multi-kernel loop, so the live
@@ -190,22 +213,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     incomplete = []
     try:
         for name in names:
-            run = api.run(
-                name,
-                size,
-                executor=args.executor,
-                hosts=args.hosts,
-                jobs=args.jobs,
-                chunk_size=args.chunk_size,
-                cache=cache,
-                measure_serial=False if args.no_baseline else None,
-                timeout=args.timeout,
-                retries=args.retries,
-                on_failure=args.on_failure,
-                fault_plan=fault_plan,
-                resume=args.resume,
-                obs=obs,
-            )
+            run = api.run(name, size, cache=cache, obs=obs, **knobs)
             rec = run.record
             records.append(rec.to_dict())
             metrics_by_kernel[name] = rec.metrics
@@ -703,16 +711,16 @@ def _cmd_bench_record(args: argparse.Namespace) -> int:
 
     names = args.kernels or kernel_names()
     size = coerce_size(args.size)
-    recorded = api.bench_record(
-        names,
-        size,
+    knobs = dict(
         executor=args.executor,
         hosts=args.hosts,
         jobs=args.jobs,
         chunk_size=args.chunk_size,
-        cache=_make_cache(args),
-        history=args.history,
         telemetry=args.telemetry,
+    )
+    _check_knobs("bench record", **knobs)
+    recorded = api.bench_record(
+        names, size, cache=_make_cache(args), history=args.history, **knobs
     )
     rows = []
     for rec in recorded:
@@ -1118,6 +1126,8 @@ def _cmd_obs_tail(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.runner.config import ON_FAILURE_CHOICES
+
     parser = argparse.ArgumentParser(
         prog="genomicsbench", description="GenomicsBench reproduction suite"
     )
@@ -1171,7 +1181,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-chunk retry budget after a failure (default: 0)",
     )
     run.add_argument(
-        "--on-failure", choices=["fail", "quarantine", "serial"], default="fail",
+        "--on-failure", choices=ON_FAILURE_CHOICES, default="fail",
         help="policy for chunks that exhaust their retries: fail the run, "
         "quarantine the chunk (run completes with a gap report), or "
         "re-execute it serially in the parent (default: fail)",

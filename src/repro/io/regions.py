@@ -15,6 +15,8 @@ from dataclasses import dataclass
 class GenomicRegion:
     """Half-open interval ``[start, end)`` on a named contig."""
 
+    __slots__ = ("contig", "start", "end")
+
     contig: str
     start: int
     end: int
@@ -24,6 +26,15 @@ class GenomicRegion:
             raise ValueError(f"region start must be non-negative, got {self.start}")
         if self.end <= self.start:
             raise ValueError(f"region end {self.end} must exceed start {self.start}")
+
+    def __getstate__(self) -> dict:
+        # the state a dict-backed instance pickled to, so cached workloads
+        # that hold regions load either way
+        return {"contig": self.contig, "start": self.start, "end": self.end}
+
+    def __setstate__(self, state: dict) -> None:
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
 
     def __len__(self) -> int:
         return self.end - self.start
@@ -66,9 +77,18 @@ def partition_genome(
         raise ValueError("contig length must be positive")
     if region_size <= 0:
         raise ValueError("region size must be positive")
+    # One region per tile, 1e5 of them at region_size 1.  Every tile is
+    # valid by construction, so fill the slots directly rather than pay
+    # the frozen ``__init__`` and its checks per tile.
+    new = object.__new__
+    set_contig = GenomicRegion.contig.__set__
+    set_start = GenomicRegion.start.__set__
+    set_end = GenomicRegion.end.__set__
     regions = []
     for start in range(0, length, region_size):
-        regions.append(
-            GenomicRegion(contig=contig, start=start, end=min(start + region_size, length))
-        )
+        region = new(GenomicRegion)
+        set_contig(region, contig)
+        set_start(region, start)
+        set_end(region, min(start + region_size, length))
+        regions.append(region)
     return regions

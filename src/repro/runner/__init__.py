@@ -10,6 +10,8 @@ and production-grade fault tolerance:
   retries with backoff, dead-worker respawn, quarantine/serial
   policies, resume from checkpoints, graceful degradation to serial
   execution); prefer the :mod:`repro.api` facade for one-call runs
+* :class:`RunConfig` -- the engine's knobs, declared and checked once;
+  :data:`WIRE_KNOBS` are the ones safe to take from the wire
 * :class:`Executor` and the executor registry (:func:`register` /
   :func:`get_executor` / :func:`available_executors`) -- pluggable
   dispatch backends: :class:`LocalExecutor` (supervised multiprocess
@@ -33,6 +35,7 @@ from repro.runner.cache import (
     config_digest,
     default_cache_dir,
 )
+from repro.runner.config import ON_FAILURE_CHOICES, WIRE_KNOBS, RunConfig
 from repro.runner.engine import (
     MAX_OVERSUBSCRIPTION,
     EngineRun,
@@ -62,11 +65,7 @@ from repro.runner.record import (
     WorkerStats,
 )
 from repro.runner.retry import BackoffPolicy
-from repro.runner.supervisor import (
-    ON_FAILURE_CHOICES,
-    ChunkFailedError,
-    ChunkSupervisor,
-)
+from repro.runner.supervisor import ChunkFailedError, ChunkSupervisor
 
 __all__ = [
     "MAX_OVERSUBSCRIPTION",
@@ -74,6 +73,7 @@ __all__ = [
     "SCHEMA",
     "SCHEMA_V1",
     "SCHEMA_V2",
+    "WIRE_KNOBS",
     "BackoffPolicy",
     "ChunkEvent",
     "ChunkFailedError",
@@ -89,6 +89,7 @@ __all__ = [
     "InjectedFault",
     "LocalExecutor",
     "ParallelRunner",
+    "RunConfig",
     "RunRecord",
     "SerialExecutor",
     "ShardCheckpoint",

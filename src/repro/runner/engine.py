@@ -109,29 +109,22 @@ from repro.obs.metrics import (
     activated_metrics,
 )
 from repro.obs.profile import (
-    DEFAULT_HZ,
     DEFAULT_TOP_N,
     SamplingProfiler,
     StackProfile,
     merge_profiles,
 )
 from repro.obs.telemetry import (
-    DEFAULT_INTERVAL,
     TelemetrySeries,
     publish_telemetry,
     telemetry_payload,
 )
 from repro.obs.trace import Span, Tracer, activated
 from repro.runner.cache import ShardCheckpoint, WorkloadCache
+from repro.runner.config import RunConfig
 from repro.runner.executors import Executor, SerialExecutor, make_executor
-from repro.runner.faults import FaultPlan
 from repro.runner.record import ChunkTrace, RunRecord, WorkerStats
-from repro.runner.retry import BackoffPolicy
-from repro.runner.supervisor import (
-    ON_FAILURE_CHOICES,
-    ChunkSupervisor,
-    SupervisedExecution,
-)
+from repro.runner.supervisor import ChunkSupervisor, SupervisedExecution
 from repro.runner.worker import ChunkPayload, WorkerState, execute_chunk
 
 #: Chunks handed out per worker on average; OpenMP's dynamic default is
@@ -185,69 +178,16 @@ class ObsCapture:
 class ParallelRunner:
     """Shards a kernel's tasks across worker processes.
 
-    Parameters
-    ----------
-    jobs:
-        Worker processes.  ``1`` with the default backend runs the whole
-        workload in-process as one chunk (no pool, no IPC; ``chunk_size``
-        is ignored).
-    executor:
-        Which execution backend dispatches chunks: a registered name
-        (``"local"``, ``"serial"``, ``"distributed"`` or a third-party
-        registration), an :class:`~repro.runner.executors.Executor`
-        instance, or ``None`` for the default supervised local pool.
-    hosts:
-        ``host:port`` worker-daemon addresses for the distributed
-        backend (ignored by local backends).
-    chunk_size:
-        Tasks per dynamically scheduled chunk; default
-        :func:`default_chunk_size`.
+    ``knobs`` are :class:`~repro.runner.config.RunConfig` fields (the
+    worker count, backend, chunk grain, fault-tolerance policy and
+    capture switches), checked there and kept as :attr:`config`.  The
+    live objects stay parameters:
+
     cache:
         A :class:`WorkloadCache` (or ``None`` to always prepare).
-    measure_serial:
-        Also time an in-process serial execution and record the
-        speedup.  Default: only when ``jobs > 1``.
     tracer:
         A :class:`~repro.obs.trace.Tracer` to record engine, chunk and
         kernel spans into (``None`` disables tracing).
-    instrument:
-        Collect per-category dynamic op counts on in-process runs and
-        publish them as ``ops.*`` counters.  Ignored when chunks run in
-        other processes (their counts never come back).
-    timeout:
-        Per-chunk wall-clock budget in seconds; a worker exceeding it
-        is terminated and its chunk retried.  ``None`` disables.
-    retries:
-        Per-chunk re-dispatch budget after a failure (exception,
-        timeout or worker death).  Default ``0`` -- fail like a
-        pre-fault-tolerance engine would.
-    on_failure:
-        Policy for chunks that exhaust their retry budget: ``"fail"``
-        raises :class:`~repro.runner.supervisor.ChunkFailedError`,
-        ``"quarantine"`` drops the chunk and reports the gap in the
-        run record, ``"serial"`` re-executes it in the parent process.
-    backoff:
-        Retry delay policy (default: exponential, 50 ms base, 2 s cap,
-        25 % jitter).
-    fault_plan:
-        A :class:`~repro.runner.faults.FaultPlan` of injected failures
-        for chaos testing (``None`` = no injection).
-    resume:
-        With a cache attached, checkpoint each completed chunk result
-        and, on a later run of the same workload geometry, skip chunks
-        already checkpointed.  The checkpoint clears once a run
-        completes without quarantined chunks.
-    profile:
-        Run the statistical sampling profiler around the prepare,
-        execute and merge phases (in each worker on the parallel
-        path); folded stacks and a hotspot table land in the record.
-    profile_hz:
-        Profiler sampling rate (default 99 Hz).
-    telemetry:
-        Sample per-worker CPU/RSS/context switches from ``/proc``
-        during execution (graceful no-op off-Linux).
-    telemetry_interval:
-        Telemetry sampling interval in seconds (default 0.05).
     events:
         An :class:`~repro.obs.events.EventLog` to publish the run's
         structured event narrative into.  ``None`` (the default)
@@ -258,60 +198,15 @@ class ParallelRunner:
 
     def __init__(
         self,
-        jobs: int = 1,
-        executor: "str | Executor | None" = None,
-        hosts: list[str] | None = None,
-        chunk_size: int | None = None,
+        *,
         cache: WorkloadCache | None = None,
-        measure_serial: bool | None = None,
         tracer: Tracer | None = None,
-        instrument: bool = False,
-        timeout: float | None = None,
-        retries: int = 0,
-        on_failure: str = "fail",
-        backoff: BackoffPolicy | None = None,
-        fault_plan: FaultPlan | None = None,
-        resume: bool = False,
-        profile: bool = False,
-        profile_hz: float = DEFAULT_HZ,
-        telemetry: bool = False,
-        telemetry_interval: float = DEFAULT_INTERVAL,
         events: EventLog | None = None,
+        **knobs: Any,
     ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be at least 1")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be at least 1")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive seconds")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if on_failure not in ON_FAILURE_CHOICES:
-            raise ValueError(
-                f"on_failure must be one of {ON_FAILURE_CHOICES}, got {on_failure!r}"
-            )
-        if profile_hz <= 0:
-            raise ValueError("profile_hz must be positive")
-        if telemetry_interval <= 0:
-            raise ValueError("telemetry_interval must be positive seconds")
-        self.jobs = jobs
-        self.executor = executor
-        self.hosts = list(hosts) if hosts else None
-        self.chunk_size = chunk_size
+        self.config = RunConfig(**knobs)
         self.cache = cache
-        self.measure_serial = measure_serial
         self.tracer = tracer
-        self.instrument = instrument
-        self.timeout = timeout
-        self.retries = retries
-        self.on_failure = on_failure
-        self.backoff = backoff or BackoffPolicy()
-        self.fault_plan = fault_plan if fault_plan else None
-        self.resume = resume
-        self.profile = profile
-        self.profile_hz = profile_hz
-        self.telemetry = telemetry
-        self.telemetry_interval = telemetry_interval
         self.events = events if events is not None else EventLog()
         #: Phase profile captured by :meth:`prepare`, consumed by the
         #: next :meth:`execute` (one run at a time per runner).
@@ -331,7 +226,7 @@ class ParallelRunner:
     def prepare(self, bench: Benchmark, size: DatasetSize) -> tuple[Any, float, bool]:
         """(workload, prepare_seconds, cache_hit) honoring the cache."""
         self._prepare_profile = None
-        profiler = SamplingProfiler(self.profile_hz) if self.profile else None
+        profiler = SamplingProfiler(self.config.profile_hz) if self.config.profile else None
         profiler_ctx = profiler if profiler is not None else nullcontext()
         tracer_ctx = activated(self.tracer) if self.tracer is not None else nullcontext()
         try:
@@ -366,7 +261,7 @@ class ParallelRunner:
         self.events.set_run_id(ev.new_run_id())
         self.events.emit(
             ev.RUN_STARTED, kernel=kernel, size=size.value,
-            jobs=self.jobs, executor=self._executor_name(),
+            jobs=self.config.jobs, executor=self.config.executor or "local",
         )
         self.events.emit(ev.PREPARE_STARTED, "debug", kernel=kernel)
         workload, prepare_seconds, cached = self.prepare(bench, size)
@@ -377,10 +272,6 @@ class ParallelRunner:
         return self.execute(
             bench, workload, size, prepare_seconds=prepare_seconds, prepare_cached=cached
         )
-
-    def _executor_name(self) -> str:
-        spec = self.executor
-        return spec.name if isinstance(spec, Executor) else (spec or "local")
 
     def execute(
         self,
@@ -398,9 +289,9 @@ class ParallelRunner:
                 f"benchmark {bench.name!r} does not shard its tasks; the engine "
                 "runs kernels through task_count() and execute_shard()"
             )
+        cfg = self.config
         jobs = self._effective_jobs()
-        spec = self.executor
-        executor_name = self._executor_name()
+        executor_name = cfg.executor or "local"
         start_seq = self._run_start_seq
         self._run_start_seq = None
         if start_seq is None:
@@ -410,27 +301,21 @@ class ParallelRunner:
             self.events.set_run_id(ev.new_run_id())
             self.events.emit(
                 ev.RUN_STARTED, kernel=bench.name, size=size.value,
-                jobs=self.jobs, executor=executor_name,
+                jobs=cfg.jobs, executor=executor_name,
             )
         # the in-process fast path: workloads of at most one task always,
         # and the default backend at jobs=1 -- one chunk, no pool, no IPC
-        in_process = n_tasks <= 1 or (
-            executor_name == "local" and not isinstance(spec, Executor) and jobs == 1
-        )
+        in_process = n_tasks <= 1 or (executor_name == "local" and jobs == 1)
         if in_process:
             executor: Executor = SerialExecutor()
             slots = 1
             chunk_size = max(1, n_tasks)
         else:
-            executor = make_executor(spec, jobs=jobs, hosts=self.hosts)
+            executor = make_executor(cfg.executor, jobs=jobs, hosts=cfg.hosts)
             slots = max(1, executor.parallelism)
             chunk_size = self._effective_chunk_size(n_tasks, slots)
         serial_seconds = None
-        measure = (
-            self.measure_serial
-            if self.measure_serial is not None
-            else slots > 1
-        )
+        measure = cfg.measure_serial if cfg.measure_serial is not None else slots > 1
         if measure:
             with self._span("engine.serial_baseline", kernel=bench.name):
                 t0 = time.perf_counter()
@@ -486,7 +371,7 @@ class ParallelRunner:
         else:
             hosts_seen = sorted({w.host for w in workers if w.host})
         phase_profiles.update(obs.profiles)
-        if self.telemetry:
+        if cfg.telemetry:
             publish_telemetry(metrics, obs.telemetry)
         profile_doc = self._profile_payload(phase_profiles)
         if profile_doc is not None:
@@ -537,11 +422,11 @@ class ParallelRunner:
             degraded=degraded,
             executor=executor_name,
             hosts=hosts_seen,
-            fault_tolerance=self._fault_tolerance_config(),
+            fault_tolerance=cfg.fault_tolerance(),
             profile=profile_doc,
             telemetry=(
-                telemetry_payload(obs.telemetry, self.telemetry_interval, obs.epoch)
-                if self.telemetry
+                telemetry_payload(obs.telemetry, cfg.telemetry_interval, obs.epoch)
+                if cfg.telemetry
                 else None
             ),
             # this run's slice of the (possibly shared) event log, with
@@ -561,26 +446,27 @@ class ParallelRunner:
         """
         cpus = os.cpu_count() or 1
         ceiling = cpus * MAX_OVERSUBSCRIPTION
-        if self.jobs > ceiling:
+        jobs = self.config.jobs
+        if jobs > ceiling:
             warnings.warn(
-                f"jobs={self.jobs} exceeds {MAX_OVERSUBSCRIPTION}x the "
+                f"jobs={jobs} exceeds {MAX_OVERSUBSCRIPTION}x the "
                 f"{cpus} available CPU(s); clamping to {ceiling}",
                 RuntimeWarning,
                 stacklevel=3,
             )
             return ceiling
-        if self.jobs > cpus:
+        if jobs > cpus:
             warnings.warn(
-                f"jobs={self.jobs} exceeds the {cpus} available CPU(s); "
+                f"jobs={jobs} exceeds the {cpus} available CPU(s); "
                 "workers will time-share cores",
                 RuntimeWarning,
                 stacklevel=3,
             )
-        return self.jobs
+        return jobs
 
     def _effective_chunk_size(self, n_tasks: int, jobs: int) -> int:
         """The configured (or default) chunk size, clamped to the workload."""
-        chunk_size = self.chunk_size or default_chunk_size(n_tasks, jobs)
+        chunk_size = self.config.chunk_size or default_chunk_size(n_tasks, jobs)
         if chunk_size > n_tasks:
             warnings.warn(
                 f"chunk_size={chunk_size} exceeds the workload's "
@@ -595,11 +481,11 @@ class ParallelRunner:
         self, phases: dict[str, StackProfile]
     ) -> dict[str, Any] | None:
         """The ``RunRecord.profile`` document (``None`` with profiling off)."""
-        if not self.profile:
+        if not self.config.profile:
             return None
-        merged = merge_profiles(list(phases.values()), hz=self.profile_hz)
+        merged = merge_profiles(list(phases.values()), hz=self.config.profile_hz)
         return {
-            "hz": self.profile_hz,
+            "hz": self.config.profile_hz,
             "samples": merged.samples,
             "duration_seconds": merged.duration_seconds,
             "phases": {
@@ -608,16 +494,6 @@ class ParallelRunner:
                 if prof.samples
             },
             "hotspots": [h.as_dict() for h in merged.hotspots(DEFAULT_TOP_N)],
-        }
-
-    def _fault_tolerance_config(self) -> dict[str, Any]:
-        """The engine's recovery configuration, for the run record."""
-        return {
-            "timeout": self.timeout,
-            "retries": self.retries,
-            "on_failure": self.on_failure,
-            "resume": self.resume,
-            "fault_plan": self.fault_plan.describe() if self.fault_plan else None,
         }
 
     def _publish_metrics(
@@ -636,7 +512,7 @@ class ParallelRunner:
         degraded: bool = False,
     ) -> None:
         """Fill the run's registry from what the engine measured."""
-        jobs = jobs if jobs is not None else self.jobs
+        jobs = jobs if jobs is not None else self.config.jobs
         metrics.counter("cache.hits").inc(1 if prepare_cached else 0)
         metrics.counter("cache.misses").inc(0 if prepare_cached else 1)
         metrics.gauge("cache.hit_ratio").set(1.0 if prepare_cached else 0.0)
@@ -685,7 +561,7 @@ class ParallelRunner:
     def _checkpoint_for(
         self, bench: Benchmark, size: DatasetSize, n_tasks: int, chunk_size: int
     ) -> ShardCheckpoint | None:
-        if not self.resume or self.cache is None:
+        if not self.config.resume or self.cache is None:
             return None
         return self.cache.checkpoint(bench.name, size, n_tasks, chunk_size)
 
@@ -715,6 +591,7 @@ class ParallelRunner:
         injected faults, no checkpoint, and kernel counters and op
         counts published into the run's registry.
         """
+        cfg = self.config
         if in_process:
             bounds = [(0, n_tasks)]  # one chunk, even of zero tasks
         else:
@@ -724,16 +601,16 @@ class ParallelRunner:
             ]
         instr = (
             Instrumentation(counts=OpCounts())
-            if self.instrument and in_process
+            if cfg.instrument and in_process
             else None
         )
         state = WorkerState(
             bench=bench,
             workload=workload,
             trace_enabled=self.tracer is not None,
-            fault_plan=None if in_process else self.fault_plan,
-            profile_hz=self.profile_hz if self.profile else None,
-            telemetry_interval=self.telemetry_interval if self.telemetry else None,
+            fault_plan=None if in_process else cfg.fault_plan or None,
+            profile_hz=cfg.profile_hz if cfg.profile else None,
+            telemetry_interval=cfg.telemetry_interval if cfg.telemetry else None,
             instr=instr,
         )
         checkpoint = (
@@ -766,10 +643,7 @@ class ParallelRunner:
         fallback_state = replace(state, fault_plan=None)
         supervisor = ChunkSupervisor(
             executor,
-            timeout=self.timeout,
-            retries=self.retries,
-            backoff=self.backoff,
-            on_failure=self.on_failure,
+            cfg,
             serial_fallback=lambda start, stop: execute_chunk(
                 fallback_state, start, stop, 0, 0
             ),
@@ -804,7 +678,7 @@ class ParallelRunner:
         chunks: list[ChunkTrace] = []
         per_worker: dict[int, WorkerStats] = {}
         obs = ObsCapture(epoch=t0)
-        execute_profile = StackProfile(hz=self.profile_hz)
+        execute_profile = StackProfile(hz=cfg.profile_hz)
         for p in payloads:
             worker = keys.setdefault((p.host, p.pid), len(keys))
             chunks.append(
@@ -858,7 +732,7 @@ class ParallelRunner:
                 label = f"worker {worker}" + (f" @ {host}" if host else "")
                 self.tracer.name_track(pid, 0, label)
             self._emit_worker_counter(payloads)
-        merge_profiler = SamplingProfiler(self.profile_hz) if self.profile else None
+        merge_profiler = SamplingProfiler(cfg.profile_hz) if cfg.profile else None
         merge_ctx = merge_profiler if merge_profiler is not None else nullcontext()
         with merge_ctx, self._span(
             "engine.merge", kernel=bench.name, shards=len(payloads)

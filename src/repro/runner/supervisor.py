@@ -51,6 +51,7 @@ from typing import Callable
 from repro.core.benchmark import ExecutionResult
 from repro.obs import events as ev
 from repro.obs.events import EventLog
+from repro.runner.config import RunConfig
 from repro.runner.executors import ChunkEvent, Executor
 from repro.runner.record import FailureEvent
 from repro.runner.retry import BackoffPolicy
@@ -58,9 +59,6 @@ from repro.runner.worker import ChunkPayload
 
 #: Seconds the supervisor blocks on the backend per loop iteration.
 POLL_SECONDS = 0.02
-
-#: ``on_failure`` policies for chunks that exhaust their retry budget.
-ON_FAILURE_CHOICES = ("fail", "quarantine", "serial")
 
 
 class ChunkFailedError(RuntimeError):
@@ -101,18 +99,13 @@ class ChunkSupervisor:
     executor:
         An opened :class:`~repro.runner.executors.Executor` to dispatch
         through (the engine owns its lifecycle).
-    timeout:
-        Per-chunk wall-clock budget in seconds, enforced only when the
-        backend's ``capabilities.timeouts`` holds.  ``None`` disables.
-    retries:
-        Failed-chunk re-dispatch budget (per chunk).
-    backoff:
-        Delay policy between retries of the same chunk.
-    on_failure:
-        What to do with a chunk that exhausts its budget: ``"fail"``
-        raises :class:`ChunkFailedError`, ``"quarantine"`` records the
-        gap and continues, ``"serial"`` re-executes the chunk in the
-        parent process.
+    config:
+        The run's :class:`~repro.runner.config.RunConfig` (default: no
+        timeout, no retries, fail fast).  The supervisor reads its
+        ``timeout`` (enforced only when the backend's
+        ``capabilities.timeouts`` holds), its per-chunk ``retries``
+        budget and its ``on_failure`` policy.  Retries of one chunk are
+        spaced by the default :class:`~repro.runner.retry.BackoffPolicy`.
     serial_fallback:
         Parent-side executor for the ``"serial"`` policy (and only
         then); maps ``(start, stop)`` to a :data:`ChunkPayload`.
@@ -129,27 +122,14 @@ class ChunkSupervisor:
     def __init__(
         self,
         executor: Executor,
-        timeout: float | None = None,
-        retries: int = 0,
-        backoff: BackoffPolicy | None = None,
-        on_failure: str = "fail",
+        config: RunConfig | None = None,
         serial_fallback: Callable[[int, int], ChunkPayload] | None = None,
         on_chunk_done: Callable[[int, int, ExecutionResult], None] | None = None,
         events: EventLog | None = None,
     ) -> None:
-        if on_failure not in ON_FAILURE_CHOICES:
-            raise ValueError(
-                f"on_failure must be one of {ON_FAILURE_CHOICES}, got {on_failure!r}"
-            )
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
-        if timeout is not None and timeout <= 0:
-            raise ValueError("timeout must be positive seconds")
         self.executor = executor
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff = backoff or BackoffPolicy()
-        self.on_failure = on_failure
+        self.config = config or RunConfig()
+        self.backoff = BackoffPolicy()
         self.serial_fallback = serial_fallback
         self.on_chunk_done = on_chunk_done
         self.events = events
@@ -182,7 +162,7 @@ class ChunkSupervisor:
         )
         delayed: list[tuple[float, int, tuple[int, int]]] = []
         epoch = time.perf_counter()
-        use_deadline = self.timeout is not None and self.executor.capabilities.timeouts
+        use_deadline = self.config.timeout is not None and self.executor.capabilities.timeouts
 
         while len(results) + len(quarantined) < len(bounds):
             now = time.perf_counter()
@@ -193,7 +173,7 @@ class ChunkSupervisor:
                 chunk = pending.popleft()
                 if chunk in results or chunk in quarantined:
                     continue
-                deadline = now + self.timeout if use_deadline else None
+                deadline = now + self.config.timeout if use_deadline else None
                 self._emit(
                     ev.CHUNK_DISPATCHED, "debug", chunk=chunk,
                     attempt=attempts.get(chunk, 0),
@@ -268,8 +248,8 @@ class ChunkSupervisor:
         start, stop = chunk
         attempt = attempts.get(chunk, 0)
         attempts[chunk] = attempt + 1
-        will_retry = attempt + 1 <= self.retries
-        action = "retry" if will_retry else self.on_failure
+        will_retry = attempt + 1 <= self.config.retries
+        action = "retry" if will_retry else self.config.on_failure
         out.failures.append(
             FailureEvent(
                 kind=event.kind,
@@ -296,13 +276,13 @@ class ChunkSupervisor:
             )
             return
         # retry budget exhausted: the chunk is poisoned
-        if self.on_failure == "fail":
+        if self.config.on_failure == "fail":
             self._emit(
                 ev.CHUNK_FAILED, "error", chunk=chunk, attempt=attempt,
                 worker=event.worker, kind=event.kind, error=event.error,
             )
             raise ChunkFailedError(start, stop, out.failures)
-        if self.on_failure == "serial" and self.serial_fallback is not None:
+        if self.config.on_failure == "serial" and self.serial_fallback is not None:
             self._emit(
                 ev.FALLBACK_SERIAL, "warning", chunk=chunk, attempt=attempt,
                 kind=event.kind, error=event.error,

@@ -33,22 +33,16 @@ from typing import Any
 from repro.core.datasets import coerce_size
 from repro.core.registry import get_kernel, kernel_names
 from repro.runner.cache import config_digest
+from repro.runner.config import WIRE_KNOBS, RunConfig
 
 #: Valid ``type`` values for a submitted job.
 JOB_TYPES = ("run", "sweep")
 
-#: Engine knobs a run job may set in ``config`` -- exactly the keyword
-#: surface of :func:`repro.api.run` that is safe to take from the wire
-#: (no live objects, no fault injection, and no ``hosts``: the
-#: coordinator unpickles whatever the hosts it dials send back).
-RUN_CONFIG_KEYS = (
-    "jobs",
-    "chunk_size",
-    "executor",
-    "retries",
-    "timeout",
-    "on_failure",
-)
+#: Engine knobs a run job may set in ``config``: the wire-safe
+#: :class:`~repro.runner.config.RunConfig` fields (no live objects, no
+#: fault injection, and no ``hosts``: the coordinator unpickles whatever
+#: the hosts it dials send back).
+RUN_CONFIG_KEYS = WIRE_KNOBS
 
 #: Top-level keys of a ``POST /jobs`` document.
 _RUN_KEYS = {"type", "kernel", "size", "config", "priority"}
@@ -137,38 +131,17 @@ def _parse_priority(doc: dict[str, Any]) -> int:
 
 
 def _parse_config(raw: Any, where: str = "config") -> dict[str, Any]:
-    """Check engine keywords from the wire (a run's ``config``, a sweep's
-    ``base`` or one axis value); ``where`` names them in errors."""
+    """Check engine keywords from the wire (a run's ``config`` or a
+    sweep's ``base``) as a :class:`RunConfig`; ``where`` names them in
+    errors.  The submitted mapping is returned as is: it is the job's
+    identity (:meth:`JobSpec.digest`)."""
     if raw is None:
         return {}
-    if not isinstance(raw, dict):
-        _fail(f"{where} must be an object, got {type(raw).__name__}")
-    unknown = set(raw) - set(RUN_CONFIG_KEYS)
-    if unknown:
-        _fail(
-            f"unknown {where} keys: {', '.join(sorted(unknown))}; "
-            f"valid keys: {', '.join(RUN_CONFIG_KEYS)}"
-        )
-    config = dict(raw)
-    for key in ("jobs", "chunk_size", "retries"):
-        value = config.get(key)
-        if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
-            _fail(f"{where}.{key} must be an integer, got {value!r}")
-    timeout = config.get("timeout")
-    if timeout is not None and not isinstance(timeout, (int, float)):
-        _fail(f"{where}.timeout must be a number, got {timeout!r}")
-    if config.get("executor") == "distributed":
-        _fail(
-            f"{where}.executor 'distributed' is refused: its hosts can only be "
-            "named on the command line (--hosts)"
-        )
-    on_failure = config.get("on_failure")
-    if on_failure is not None and on_failure not in ("fail", "quarantine", "serial"):
-        _fail(
-            f"{where}.on_failure must be one of fail, quarantine, serial; "
-            f"got {on_failure!r}"
-        )
-    return config
+    try:
+        RunConfig.from_dict(raw, where)
+    except ValueError as exc:
+        _fail(str(exc))
+    return dict(raw)
 
 
 def parse_job_spec(doc: Any) -> JobSpec:
@@ -200,13 +173,8 @@ def parse_job_spec(doc: Any) -> JobSpec:
             sweep_spec = spec.to_dict()
         except (ValueError, TypeError, KeyError) as exc:
             _fail(f"invalid sweep spec: {exc}")
-        # every engine keyword a cell runs with obeys the run-job rules
+        # SweepSpec checked every cell's knobs; the wire also refuses hosts
         _parse_config(spec.base, "spec.base")
-        for kernel in spec.kernels:
-            for axis, values in spec.axes_for(kernel).items():
-                if axis != "size":
-                    for value in values:
-                        _parse_config({axis: value}, "spec.axes")
         return JobSpec(
             kind="sweep",
             size=spec.size,

@@ -27,17 +27,13 @@ from typing import Any, Iterable, Sequence
 from repro.core.datasets import DatasetSize, coerce_size
 from repro.core.registry import get_kernel, kernel_names
 from repro.runner.cache import config_digest
+from repro.runner.config import WIRE_KNOBS, RunConfig
 
-#: Axis names a sweep may vary, mapped onto ``repro.api.run`` keywords.
-ENGINE_AXES = (
-    "jobs",
-    "chunk_size",
-    "size",
-    "executor",
-    "retries",
-    "timeout",
-    "on_failure",
-)
+#: Axis names a sweep may vary: the dataset size plus the wire knobs.
+ENGINE_AXES = ("size", *WIRE_KNOBS)
+
+#: Keys a spec's ``base`` may fix: the wire knobs plus the CLI's ``--hosts``.
+BASE_KEYS = (*WIRE_KNOBS, "hosts")
 
 #: Default axes when neither ``--grid`` nor a spec file names any.
 DEFAULT_AXES: dict[str, list[Any]] = {"jobs": [1, 2]}
@@ -116,7 +112,8 @@ class SweepSpec:
     over axis names plus ``kernel``/``size`` evaluated per cell;
     ``max_cells`` truncates the expanded list deterministically after
     filtering.  ``base`` holds fixed engine keywords every cell shares
-    (e.g. an executor name that is not swept).
+    (e.g. an executor name that is not swept).  ``base``, and every
+    axis value merged onto it, must build a :class:`RunConfig`.
     """
 
     kernels: list[str] = field(default_factory=kernel_names)
@@ -152,6 +149,14 @@ class SweepSpec:
             if self.max_cells < 1:
                 raise ValueError("max_cells must be at least 1")
         _expect(self.base, dict, "base", "an object of engine keywords")
+        RunConfig.from_dict(self.base, "spec.base", BASE_KEYS)
+        for axes in (self.axes, *self.per_kernel.values()):
+            for axis, values in axes.items():
+                for value in values:
+                    if axis == "size":
+                        coerce_size(value)
+                    else:
+                        RunConfig.from_dict({**self.base, axis: value}, "spec.axes", BASE_KEYS)
 
     def axes_for(self, kernel: str) -> dict[str, list[Any]]:
         """The kernel's effective axes (global axes + per-kernel overrides)."""

@@ -373,3 +373,45 @@ class TestLiveObservability:
         assert "timeouts" in out and "remote" in out
         # every backend forwards worker events, so no per-backend column
         assert "live events" not in out
+
+
+@pytest.fixture
+def prepare_calls(monkeypatch):
+    """Every ``Benchmark.prepare`` call of the grm adapter, in order."""
+    from repro.core.benchmark import load_benchmark
+
+    adapter = type(load_benchmark("grm"))
+    calls = []
+    real = adapter.prepare
+
+    def spy(self, size):
+        calls.append(size)
+        return real(self, size)
+
+    monkeypatch.setattr(adapter, "prepare", spy)
+    return calls
+
+
+class TestEngineValues:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["run", "grm", "--jobs", "0"], "run: jobs must be at least 1, got 0"),
+            (["run", "grm", "--executor", "warp-drive"], "run: executor must be one of"),
+            (["run", "grm", "--executor", "distributed"], "run: executor 'distributed'"),
+            (
+                ["run", "grm", "--jobs", "2", "--timeout", "nan"],
+                "run: timeout must be finite and > 0, got nan",
+            ),
+            (["bench", "record", "grm", "--jobs", "0"], "bench record: jobs must be at least 1"),
+        ],
+    )
+    def test_bad_values_exit_before_any_kernel_is_prepared(
+        self, argv, message, prepare_calls, tmp_path
+    ):
+        history = ["--history", str(tmp_path / "B.json")] if argv[0] == "bench" else []
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--no-cache", *history])
+        assert str(info.value.code).startswith(message)
+        assert prepare_calls == []
+        assert not (tmp_path / "B.json").exists()

@@ -147,3 +147,26 @@ def test_obs_report_requires_a_record_or_sweep():
 def test_obs_report_missing_sweep_is_an_error(tmp_path):
     with pytest.raises(SystemExit, match="repro sweep"):
         main(["obs", "report", "--sweep", str(tmp_path / "nowhere")])
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("jobs=0", "sweep: spec.axes.jobs must be at least 1, got 0"),
+        ("on_failure=explode", "sweep: spec.axes.on_failure must be one of"),
+        ("timeout=nan", "sweep: spec.axes.timeout must be finite and > 0"),
+    ],
+)
+def test_sweep_bad_engine_value_is_refused_before_any_cell(sweep_args, tmp_path, grid, message):
+    with pytest.raises(SystemExit) as info:
+        main(sweep_args("--grid", grid))
+    assert str(info.value.code).startswith(message)
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_spec_file_with_unknown_base_key_is_refused(sweep_args, tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"kernels": ["grm"], "base": {"frobnicate": 1}}))
+    with pytest.raises(SystemExit, match="unknown spec.base keys: frobnicate; valid keys: jobs"):
+        main(sweep_args("--spec", str(spec)))
+    assert not (tmp_path / "sw").exists()

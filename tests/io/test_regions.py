@@ -1,5 +1,8 @@
 """Tests for genomic region arithmetic."""
 
+import dataclasses
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -36,6 +39,23 @@ class TestGenomicRegion:
         assert a.intersect(b) == GenomicRegion("c", 5, 10)
         assert a.intersect(GenomicRegion("c", 20, 30)) is None
 
+    def test_frozen(self):
+        r = GenomicRegion("c", 0, 10)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            r.start = 5
+
+    def test_pickle_state_is_the_field_dict(self):
+        # cached workloads hold pickled regions; the state keeps the form
+        # a dict-backed instance had, so older cache entries still load
+        r = GenomicRegion("chr1", 10, 20)
+        assert r.__reduce_ex__(pickle.DEFAULT_PROTOCOL)[2] == {
+            "contig": "chr1",
+            "start": 10,
+            "end": 20,
+        }
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(r, protocol=protocol)) == r
+
 
 class TestPartition:
     def test_exact_division(self):
@@ -47,6 +67,13 @@ class TestPartition:
     def test_remainder_absorbed(self):
         parts = partition_genome("c", 105, 25)
         assert parts[-1].end == 105
+
+    def test_tiles_equal_checked_regions(self):
+        parts = partition_genome("c", 10, 4)
+        checked = [GenomicRegion("c", 0, 4), GenomicRegion("c", 4, 8), GenomicRegion("c", 8, 10)]
+        assert parts == checked
+        assert [hash(p) for p in parts] == [hash(r) for r in checked]
+        assert pickle.loads(pickle.dumps(parts)) == parts
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.runner.config import RunConfig
 from repro.service import JobService, ServiceServer
 from repro.service.schemas import RUN_CONFIG_KEYS, JobSpec, JobSpecError, parse_job_spec
+from repro.sweep import SweepSpec, expand
 
 
 @contextmanager
@@ -178,3 +180,63 @@ def test_any_json_document_parses_or_fails_as_a_job_spec_error(doc):
         assert isinstance(parse_job_spec(doc), JobSpec)
     except JobSpecError:
         pass
+
+
+#: Engine values the engine refuses, one per document: admission must
+#: refuse each, rather than queue a job that fails or runs wrongly.
+BAD_ENGINE_VALUES = [
+    ("jobs", 0),
+    ("chunk_size", 0),
+    ("retries", -1),
+    ("timeout", 0),
+    ("timeout", -3),
+    ("timeout", float("nan")),
+    ("timeout", float("inf")),
+    ("timeout", True),
+    ("executor", "warp-drive"),
+    ("executor", 5),
+    ("on_failure", None),
+]
+BAD_IDS = [f"{key}={value!r}" for key, value in BAD_ENGINE_VALUES]
+
+
+@pytest.mark.parametrize("key, value", BAD_ENGINE_VALUES, ids=BAD_IDS)
+def test_bad_engine_values_are_answered_with_400(tmp_path, key, value):
+    with served(tmp_path) as server:
+        code, body = post(server, {"kernel": "grm", "config": {key: value}})
+    assert code == 400, body
+    assert body["error"].startswith(f"config.{key}")
+
+
+@pytest.mark.parametrize("key, value", BAD_ENGINE_VALUES, ids=BAD_IDS)
+def test_bad_engine_values_in_a_sweep_are_refused(key, value):
+    base = {"type": "sweep", "spec": {"kernels": ["grm"], "base": {key: value}}}
+    with pytest.raises(JobSpecError, match=rf"spec\.base\.{key}"):
+        parse_job_spec(base)
+    axis = {"type": "sweep", "spec": {"kernels": ["grm"], "axes": {key: [value]}}}
+    with pytest.raises(JobSpecError, match=rf"spec\.axes\.{key}"):
+        parse_job_spec(axis)
+
+
+def test_a_null_executor_is_still_admitted_with_the_same_identity():
+    spec = parse_job_spec({"kernel": "grm", "config": {"executor": None}})
+    assert spec.config == {"executor": None}
+    assert spec.digest() == "eeb188cd2a9aec9e"
+    spec = parse_job_spec({"kernel": "grm", "config": {"jobs": 2, "chunk_size": 8}})
+    assert spec.digest() == "c078b5d6f61d1bcf"
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(run_docs | sweep_docs)
+def test_every_admitted_document_builds_a_run_config(doc):
+    try:
+        spec = parse_job_spec(doc)
+    except JobSpecError:
+        return
+    if spec.kind == "run":
+        RunConfig(**spec.config)
+        return
+    # filters and the cell budget only drop cells: check the whole grid
+    grid = SweepSpec.from_dict({**spec.sweep_spec, "filters": [], "max_cells": None})
+    for cell in expand(grid):
+        RunConfig(**cell.run_kwargs())

@@ -172,3 +172,52 @@ class TestSweepCell:
         cell = make_cell("grm", "small", {"jobs": 1})
         with pytest.raises(ValueError, match="duplicate sweep cell"):
             cells_by_id([cell, cell])
+
+
+class TestEngineValues:
+    @pytest.mark.parametrize(
+        "axes, message",
+        [
+            ({"jobs": [1, 0]}, "spec.axes.jobs must be at least 1, got 0"),
+            ({"chunk_size": [0]}, "spec.axes.chunk_size must be at least 1"),
+            ({"retries": [-1]}, "spec.axes.retries must be at least 0"),
+            ({"timeout": ["nan"]}, "spec.axes.timeout must be finite and > 0"),
+            ({"timeout": [True]}, "spec.axes.timeout must be a number"),
+            ({"executor": ["warp-drive"]}, "spec.axes.executor must be one of"),
+            ({"executor": ["distributed"]}, "spec.axes.executor 'distributed'"),
+            ({"on_failure": ["explode"]}, "spec.axes.on_failure must be one of"),
+            ({"size": ["galactic"]}, "unknown dataset size"),
+        ],
+    )
+    def test_bad_axis_values_fail_when_the_spec_is_built(self, axes, message):
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(kernels=["grm"], axes=axes)
+        with pytest.raises(ValueError, match=message):
+            SweepSpec(kernels=["grm"], per_kernel={"grm": axes})
+
+    def test_bad_base_values_fail_when_the_spec_is_built(self):
+        with pytest.raises(ValueError, match="spec.base.jobs must be at least 1"):
+            SweepSpec(kernels=["grm"], base={"jobs": 0})
+        with pytest.raises(ValueError, match="spec.base.hosts"):
+            SweepSpec(kernels=["grm"], base={"executor": "distributed", "hosts": ["no-port"]})
+
+    def test_unknown_base_key_names_the_valid_keys(self):
+        with pytest.raises(ValueError, match="unknown spec.base keys: frobnicate") as info:
+            SweepSpec(kernels=["grm"], base={"frobnicate": 1})
+        valid = "valid keys: jobs, chunk_size, executor, retries, timeout, on_failure, hosts"
+        assert valid in str(info.value)
+
+    def test_spec_file_base_with_unknown_key_is_refused(self, tmp_path):
+        pytest.importorskip("tomllib")
+        path = tmp_path / "sweep.toml"
+        path.write_text("kernels = ['grm']\n[base]\nfrobnicate = 1\n")
+        with pytest.raises(ValueError, match="unknown spec.base keys: frobnicate; valid keys"):
+            load_spec_file(path)
+
+    def test_base_may_name_hosts_for_a_remote_executor_axis(self):
+        spec = SweepSpec(
+            kernels=["grm"],
+            axes={"executor": ["local", "distributed"]},
+            base={"hosts": ["127.0.0.1:9701"]},
+        )
+        assert spec.base == {"hosts": ["127.0.0.1:9701"]}
