@@ -13,6 +13,7 @@ memory behaviour.
 
 from __future__ import annotations
 
+import zlib
 from collections import defaultdict
 
 from repro.core.instrument import Instrumentation
@@ -55,7 +56,8 @@ class DeBruijnGraph:
             if name not in instr.trace.regions:
                 instr.trace.alloc(name, TRACE_BUCKETS * TRACE_BUCKET_BYTES)
             region = instr.trace.region(name)
-            bucket = hash(kmer) % TRACE_BUCKETS
+            # a stable hash: str hash() is salted per process
+            bucket = zlib.crc32(kmer.encode()) % TRACE_BUCKETS
             instr.trace.read(region, bucket * TRACE_BUCKET_BYTES, TRACE_BUCKET_BYTES)
 
     def add_sequence(

@@ -8,7 +8,9 @@ the executor backends and the fault machinery -- publishes typed,
 severity-leveled events into one :class:`EventLog`, and everything
 downstream (the ``run --live-port`` HTTP status server in
 :mod:`repro.obs.live`, the ``obs tail`` CLI, the HTML report's event
-lane, the schema-v5 :class:`~repro.runner.record.RunRecord`) is a pure
+lane, the schema-v5 :class:`~repro.runner.record.RunRecord`, whose
+chunk trace and failure report are
+:func:`~repro.runner.record.fold_run` over the run's slice) is a pure
 fold over that log.
 
 Design rules
@@ -251,11 +253,11 @@ class EventLog:
         worker: int | str | None = None,
         host: str | None = None,
         attempt: int | None = None,
-        pid: int | None = None,
         ts: float | None = None,
         **data: Any,
     ) -> Event:
-        """Append one event at the current time (or explicit ``ts``)."""
+        """Append one event at the current time (or explicit ``ts``);
+        ``pid`` defaults to this process, and ``pid=None`` marks it unknown."""
         event = Event(
             seq=-1,
             ts=time.perf_counter() if ts is None else ts,
@@ -266,7 +268,7 @@ class EventLog:
             worker=worker,
             host=host,
             attempt=attempt,
-            pid=pid if pid is not None else os.getpid(),
+            pid=data.pop("pid", os.getpid()),
             data=data or None,
         )
         self._append(event)

@@ -49,7 +49,10 @@ def status_from_events(
     elapsed/throughput/ETA estimates (defaults to the current time).
     The fold restarts at the latest ``run_started``, so a shared log
     driving several sequential runs (the CLI's multi-kernel loop)
-    always reports the run in progress.
+    always reports the run in progress.  A chunk counts done once,
+    whether ``chunk_completed`` or ``fallback_serial`` marks it; a
+    ``run_degraded`` carrying the rerun's geometry restarts progress
+    and gaps, as the run record's fold does.
     """
     now = time.perf_counter() if now is None else now
     status: dict[str, Any] = {
@@ -74,6 +77,7 @@ def status_from_events(
     }
     execute_ts: float | None = None
     finished_ts: float | None = None
+    done: set[tuple[int, int] | None] = set()
 
     def worker_slot(key: Any) -> dict[str, Any]:
         slot = status["workers"].setdefault(
@@ -91,6 +95,7 @@ def status_from_events(
             fresh["events"] = status["events"]
             status = fresh
             execute_ts = finished_ts = None
+            done = set()
             status["state"] = "preparing"
             status["run_id"] = event.run_id
             status["kernel"] = data.get("kernel")
@@ -112,12 +117,14 @@ def status_from_events(
                 slot = worker_slot(key)
                 slot["state"] = "busy"
                 slot["host"] = event.host
-        elif event.name == ev.CHUNK_COMPLETED:
-            status["chunks"]["done"] += 1
-            status["tasks"]["done"] += data.get(
-                "tasks", (event.chunk[1] - event.chunk[0]) if event.chunk else 0
-            )
-            if event.worker is not None:
+        elif event.name in (ev.CHUNK_COMPLETED, ev.FALLBACK_SERIAL):
+            if event.chunk not in done:
+                done.add(event.chunk)
+                status["chunks"]["done"] += 1
+                status["tasks"]["done"] += data.get(
+                    "tasks", (event.chunk[1] - event.chunk[0]) if event.chunk else 0
+                )
+            if event.name == ev.CHUNK_COMPLETED and event.worker is not None:
                 slot = worker_slot(event.worker)
                 slot["state"] = "idle"
                 slot["chunks"] += 1
@@ -130,12 +137,6 @@ def status_from_events(
             status["chunks"]["quarantined"] += 1
         elif event.name == ev.CHUNK_STOLEN:
             status["chunks"]["stolen"] += 1
-        elif event.name == ev.FALLBACK_SERIAL:
-            # the parent re-executes the chunk; it completes via the
-            # supervisor's results map without a chunk_completed event
-            status["chunks"]["done"] += 1
-            if event.chunk is not None:
-                status["tasks"]["done"] += event.chunk[1] - event.chunk[0]
         elif event.name in (ev.WORKER_SPAWNED, ev.WORKER_RESPAWNED):
             worker_slot(event.worker)["state"] = "idle"
         elif event.name == ev.WORKER_DIED:
@@ -153,9 +154,11 @@ def status_from_events(
             status["state"] = "degraded"
             if "chunks" in data:
                 # the whole workload reruns in-process as one chunk:
-                # progress restarts in that geometry, not the lost pool's
-                status["chunks"].update(total=data["chunks"], done=0)
+                # progress and gaps restart in that geometry, not the
+                # lost pool's
+                status["chunks"].update(total=data["chunks"], done=0, quarantined=0)
                 status["tasks"] = {"total": data["tasks"], "done": 0}
+                done = set()
         elif event.name == ev.RUN_FINISHED:
             status["state"] = "finished"
             finished_ts = event.ts

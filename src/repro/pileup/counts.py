@@ -13,6 +13,7 @@ bottleneck.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +114,8 @@ def _account_record(instr: Instrumentation, rec: AlignmentRecord) -> None:
         # random access into the (sorted-by-coordinate, variably sized)
         # record heap, then a streaming walk over the record body
         rec_bytes = 64 + len(rec.seq)
-        start = (hash(rec.qname) % (records_r.size - rec_bytes - 64))
+        # a stable hash: str hash() is salted per process
+        start = zlib.crc32(rec.qname.encode()) % (records_r.size - rec_bytes - 64)
         start -= start % 64
         trace.read_stream(records_r, start, rec_bytes, access_size=16)
         # scattered count-matrix updates along the reference span

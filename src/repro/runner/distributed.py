@@ -399,7 +399,6 @@ class DistributedExecutor(Executor):
         self.connect_timeout = connect_timeout
         self.heartbeat_timeout = heartbeat_timeout
         self.steal_after = steal_after
-        self.respawns = 0
         self._hosts: dict[str, _Host] = {}
         self._events: queue_mod.Queue[ChunkEvent] = queue_mod.Queue()
         self._lock = threading.Lock()

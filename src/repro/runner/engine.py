@@ -87,6 +87,7 @@ import os
 import platform
 import time
 import warnings
+from collections import Counter
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import Any
@@ -123,8 +124,8 @@ from repro.obs.trace import Span, Tracer, activated
 from repro.runner.cache import ShardCheckpoint, WorkloadCache
 from repro.runner.config import RunConfig
 from repro.runner.executors import Executor, SerialExecutor, make_executor
-from repro.runner.record import ChunkTrace, RunRecord, WorkerStats
-from repro.runner.supervisor import ChunkSupervisor, SupervisedExecution
+from repro.runner.record import RunRecord, fold_run
+from repro.runner.supervisor import ChunkSupervisor
 from repro.runner.worker import ChunkPayload, WorkerState, execute_chunk
 
 #: Chunks handed out per worker on average; OpenMP's dynamic default is
@@ -142,6 +143,48 @@ MAX_OVERSUBSCRIPTION = 8
 #: Exceptions that mean "no worker pool can be created here"; the
 #: engine degrades to in-process serial execution instead of failing.
 POOL_UNAVAILABLE_ERRORS = (OSError, NotImplementedError, ImportError)
+
+
+def _publish_metrics(metrics: MetricsRegistry, record: RunRecord) -> None:
+    """Fill the run's registry from its finished record."""
+    metrics.counter("cache.hits").inc(int(record.prepare_cached))
+    metrics.counter("cache.misses").inc(int(not record.prepare_cached))
+    metrics.gauge("cache.hit_ratio").set(float(record.prepare_cached))
+    metrics.gauge("run.prepare_seconds").set(record.prepare_seconds)
+    metrics.gauge("run.execute_seconds").set(record.execute_seconds)
+    if record.serial_seconds is not None:
+        metrics.gauge("run.serial_seconds").set(record.serial_seconds)
+    if record.speedup_vs_serial is not None:
+        metrics.gauge("run.speedup_vs_serial").set(record.speedup_vs_serial)
+    metrics.counter("engine.tasks").inc(record.n_tasks)
+    metrics.counter("engine.chunks").inc(len(record.chunks))
+    metrics.counter("engine.workers").inc(len(record.workers))
+    if record.execute_seconds > 0:
+        metrics.gauge("run.tasks_per_second").set(record.n_tasks / record.execute_seconds)
+        metrics.gauge("run.work_per_second").set(record.total_work / record.execute_seconds)
+    if record.scheduling_efficiency is not None:
+        metrics.gauge("run.scheduling_efficiency").set(record.scheduling_efficiency)
+    metrics.gauge("engine.degraded").set(1.0 if record.degraded else 0.0)
+    metrics.counter("engine.resumed_chunks").inc(record.resumed_chunks)
+    metrics.counter("engine.retries").inc(record.retries)
+    kinds = Counter(f.kind for f in record.failures)
+    metrics.counter("engine.timeouts").inc(kinds["timeout"])
+    metrics.counter("engine.worker_deaths").inc(kinds["worker-died"])
+    respawns = sum(e["name"] == ev.WORKER_RESPAWNED for e in record.events)
+    metrics.counter("engine.respawns").inc(respawns)
+    metrics.counter("engine.quarantined_chunks").inc(len(record.quarantined))
+    failed = Counter((f.start, f.stop) for f in record.failures)
+    attempts_hist = metrics.histogram("chunk.attempts", ATTEMPT_BUCKETS)
+    for chunk in [(c.start, c.stop) for c in record.chunks] + record.quarantined:
+        attempts_hist.observe(1 + failed[chunk])
+    work_hist = metrics.histogram("task.work", WORK_BUCKETS)
+    for work in record.task_work:
+        work_hist.observe(work)
+    tasks_hist = metrics.histogram("worker.tasks", (1.0, 10.0, 100.0, 1_000.0, 10_000.0))
+    busy_hist = metrics.histogram("worker.busy_seconds", SECONDS_BUCKETS)
+    for worker in record.workers:
+        tasks_hist.observe(worker.tasks)
+        busy_hist.observe(worker.busy_seconds)
 
 
 def default_chunk_size(n_tasks: int, jobs: int) -> int:
@@ -332,14 +375,9 @@ class ParallelRunner:
             chunks=max(1, -(-n_tasks // chunk_size)), tasks=n_tasks,
             chunk_size=chunk_size, jobs=slots,
         )
-        degraded = False
-        hosts_seen: list[str] = []
         try:
-            result, chunks, workers, elapsed, supervised, resumed_chunks, obs = (
-                self._execute(
-                    bench, workload, size, n_tasks, chunk_size, executor,
-                    in_process, metrics,
-                )
+            result, elapsed, obs = self._execute(
+                bench, workload, size, n_tasks, chunk_size, executor, in_process, metrics
             )
         except POOL_UNAVAILABLE_ERRORS as exc:
             if in_process:
@@ -353,7 +391,6 @@ class ParallelRunner:
                 RuntimeWarning,
                 stacklevel=2,
             )
-            degraded = True
             slots = 1
             chunk_size = max(1, n_tasks)
             # the rerun's geometry: the live fold restarts progress here
@@ -362,14 +399,9 @@ class ParallelRunner:
                 error=f"{type(exc).__name__}: {exc}",
                 chunks=1, tasks=n_tasks, chunk_size=chunk_size,
             )
-            result, chunks, workers, elapsed, supervised, resumed_chunks, obs = (
-                self._execute(
-                    bench, workload, size, n_tasks, chunk_size, SerialExecutor(),
-                    True, metrics,
-                )
+            result, elapsed, obs = self._execute(
+                bench, workload, size, n_tasks, chunk_size, SerialExecutor(), True, metrics
             )
-        else:
-            hosts_seen = sorted({w.host for w in workers if w.host})
         phase_profiles.update(obs.profiles)
         if cfg.telemetry:
             publish_telemetry(metrics, obs.telemetry)
@@ -377,25 +409,16 @@ class ParallelRunner:
         if profile_doc is not None:
             metrics.counter("profile.samples").inc(profile_doc["samples"])
 
-        self._publish_metrics(
-            metrics,
-            result=result,
-            workers=workers,
-            chunks=chunks,
-            prepare_seconds=prepare_seconds,
-            prepare_cached=prepare_cached,
-            execute_seconds=elapsed,
-            serial_seconds=serial_seconds,
-            jobs=slots,
-            supervised=supervised,
-            resumed_chunks=resumed_chunks,
-            degraded=degraded,
-        )
+        folded = fold_run(self.events.tail(start_seq - 1), obs.epoch)
         self.events.emit(
-            ev.RUN_FINISHED, kernel=bench.name,
-            seconds=round(elapsed, 6), tasks=result.n_tasks,
-            chunks=len(chunks), retries=supervised.retries,
-            quarantined=len(supervised.quarantined), degraded=degraded,
+            ev.RUN_FINISHED,
+            kernel=bench.name,
+            seconds=round(elapsed, 6),
+            tasks=result.n_tasks,
+            chunks=len(folded["chunks"]),
+            retries=folded["retries"],
+            quarantined=len(folded["quarantined"]),
+            degraded=folded["degraded"],
         )
         record = RunRecord(
             kernel=bench.name,
@@ -410,18 +433,9 @@ class ParallelRunner:
             execute_seconds=elapsed,
             serial_seconds=serial_seconds,
             task_meta=result.task_meta,
-            chunks=chunks,
-            workers=workers,
-            metrics=metrics.as_dict(),
             host=platform.node() or None,
             created_unix=time.time(),
-            failures=list(supervised.failures),
-            retries=supervised.retries,
-            quarantined=list(supervised.quarantined),
-            resumed_chunks=resumed_chunks,
-            degraded=degraded,
             executor=executor_name,
-            hosts=hosts_seen,
             fault_tolerance=cfg.fault_tolerance(),
             profile=profile_doc,
             telemetry=(
@@ -433,7 +447,10 @@ class ParallelRunner:
             # timestamps rebased to the execute-phase start (pre-execute
             # events land at negative t)
             events=self.events.as_dicts(since=start_seq - 1, epoch=obs.epoch),
+            **folded,
         )
+        _publish_metrics(metrics, record)
+        record.metrics = metrics.as_dict()
         return EngineRun(record=record, output=result.output, result=result)
 
     def _effective_jobs(self) -> int:
@@ -496,68 +513,6 @@ class ParallelRunner:
             "hotspots": [h.as_dict() for h in merged.hotspots(DEFAULT_TOP_N)],
         }
 
-    def _publish_metrics(
-        self,
-        metrics: MetricsRegistry,
-        result: ExecutionResult,
-        workers: list[WorkerStats],
-        chunks: list[ChunkTrace],
-        prepare_seconds: float,
-        prepare_cached: bool,
-        execute_seconds: float,
-        serial_seconds: float | None,
-        supervised: SupervisedExecution,
-        jobs: int | None = None,
-        resumed_chunks: int = 0,
-        degraded: bool = False,
-    ) -> None:
-        """Fill the run's registry from what the engine measured."""
-        jobs = jobs if jobs is not None else self.config.jobs
-        metrics.counter("cache.hits").inc(1 if prepare_cached else 0)
-        metrics.counter("cache.misses").inc(0 if prepare_cached else 1)
-        metrics.gauge("cache.hit_ratio").set(1.0 if prepare_cached else 0.0)
-        metrics.gauge("run.prepare_seconds").set(prepare_seconds)
-        metrics.gauge("run.execute_seconds").set(execute_seconds)
-        if serial_seconds is not None:
-            metrics.gauge("run.serial_seconds").set(serial_seconds)
-            if execute_seconds > 0:
-                metrics.gauge("run.speedup_vs_serial").set(
-                    serial_seconds / execute_seconds
-                )
-        metrics.counter("engine.tasks").inc(result.n_tasks)
-        metrics.counter("engine.chunks").inc(len(chunks))
-        metrics.counter("engine.workers").inc(len(workers))
-        if execute_seconds > 0:
-            metrics.gauge("run.tasks_per_second").set(result.n_tasks / execute_seconds)
-            metrics.gauge("run.work_per_second").set(
-                result.total_work / execute_seconds
-            )
-            busy = sum(w.busy_seconds for w in workers)
-            if workers:
-                metrics.gauge("run.scheduling_efficiency").set(
-                    busy / (jobs * execute_seconds)
-                )
-        metrics.gauge("engine.degraded").set(1.0 if degraded else 0.0)
-        metrics.counter("engine.resumed_chunks").inc(resumed_chunks)
-        metrics.counter("engine.retries").inc(supervised.retries)
-        metrics.counter("engine.timeouts").inc(supervised.timeouts)
-        metrics.counter("engine.worker_deaths").inc(supervised.worker_deaths)
-        metrics.counter("engine.respawns").inc(supervised.respawns)
-        metrics.counter("engine.quarantined_chunks").inc(len(supervised.quarantined))
-        attempts_hist = metrics.histogram("chunk.attempts", ATTEMPT_BUCKETS)
-        for n_attempts in supervised.attempts_by_chunk.values():
-            attempts_hist.observe(n_attempts)
-        work_hist = metrics.histogram("task.work", WORK_BUCKETS)
-        for work in result.task_work:
-            work_hist.observe(work)
-        tasks_hist = metrics.histogram(
-            "worker.tasks", (1.0, 10.0, 100.0, 1_000.0, 10_000.0)
-        )
-        busy_hist = metrics.histogram("worker.busy_seconds", SECONDS_BUCKETS)
-        for worker in workers:
-            tasks_hist.observe(worker.tasks)
-            busy_hist.observe(worker.busy_seconds)
-
     def _checkpoint_for(
         self, bench: Benchmark, size: DatasetSize, n_tasks: int, chunk_size: int
     ) -> ShardCheckpoint | None:
@@ -575,15 +530,7 @@ class ParallelRunner:
         executor: Executor,
         in_process: bool,
         metrics: MetricsRegistry,
-    ) -> tuple[
-        ExecutionResult,
-        list[ChunkTrace],
-        list[WorkerStats],
-        float,
-        SupervisedExecution,
-        int,
-        ObsCapture,
-    ]:
+    ) -> tuple[ExecutionResult, float, ObsCapture]:
         """Run every chunk through ``executor`` and merge the results.
 
         ``in_process`` marks the runs the engine chose to keep in this
@@ -634,10 +581,13 @@ class ParallelRunner:
                     # checkpointed shards count as completed in the live
                     # status fold without ever being dispatched
                     self.events.emit(
-                        ev.CHUNK_COMPLETED, "debug", chunk=chunk,
-                        tasks=chunk[1] - chunk[0], resumed=True,
+                        ev.CHUNK_COMPLETED,
+                        "debug",
+                        chunk=chunk,
+                        tasks=chunk[1] - chunk[0],
+                        seconds=0.0,
+                        resumed=True,
                     )
-        resumed_chunks = len(preloaded)
 
         # the on_failure="serial" fallback runs in this process, unfaulted
         fallback_state = replace(state, fault_plan=None)
@@ -673,33 +623,13 @@ class ParallelRunner:
             metrics.publish_op_counts(instr.counts)
 
         payloads = sorted(supervised.payloads, key=lambda p: p.start)
-        # worker identity is (host, pid): pids are only unique per host
+        # worker identity is (host, pid): pids are only unique per host;
+        # numbered in chunk-start order, as fold_run numbers the record's
         keys: dict[tuple[str | None, int], int] = {}
-        chunks: list[ChunkTrace] = []
-        per_worker: dict[int, WorkerStats] = {}
         obs = ObsCapture(epoch=t0)
         execute_profile = StackProfile(hz=cfg.profile_hz)
         for p in payloads:
             worker = keys.setdefault((p.host, p.pid), len(keys))
-            chunks.append(
-                ChunkTrace(
-                    worker=worker,
-                    start=p.start,
-                    stop=p.stop,
-                    begin=max(0.0, p.begin - t0),
-                    end=max(0.0, p.end - t0),
-                )
-            )
-            stats = per_worker.setdefault(
-                worker,
-                WorkerStats(
-                    worker=worker, pid=p.pid, chunks=0, tasks=0,
-                    busy_seconds=0.0, host=p.host,
-                ),
-            )
-            stats.chunks += 1
-            stats.tasks += p.stop - p.start
-            stats.busy_seconds += p.end - p.begin
             # per-worker profiles and telemetry merge at the shard
             # boundary, the same model as the span buffers below
             if p.profile is not None:
@@ -747,10 +677,9 @@ class ParallelRunner:
             obs.profiles["execute"] = execute_profile
         if merge_profiler is not None and merge_profiler.profile.samples:
             obs.profiles["merge"] = merge_profiler.profile
-        workers = [per_worker[w] for w in sorted(per_worker)]
         if checkpoint is not None and not supervised.quarantined:
             checkpoint.clear()
-        return result, chunks, workers, elapsed, supervised, resumed_chunks, obs
+        return result, elapsed, obs
 
     def _emit_worker_counter(self, payloads: list[ChunkPayload]) -> None:
         """``workers.active`` counter series from the chunk timings."""

@@ -103,9 +103,6 @@ class Executor(abc.ABC):
     #: What this backend can enforce.
     capabilities: ClassVar[ExecutorCapabilities] = ExecutorCapabilities()
 
-    #: Workers this backend re-created after a death/timeout/loss.
-    respawns: int = 0
-
     @classmethod
     def from_options(
         cls,
@@ -240,7 +237,6 @@ class SerialExecutor(Executor):
     )
 
     def __init__(self) -> None:
-        self.respawns = 0
         self._state: WorkerState | None = None
         self._fault_plan: FaultPlan | None = None
         self._events: list[ChunkEvent] = []
@@ -363,7 +359,6 @@ class LocalExecutor(Executor):
         if jobs < 1:
             raise ValueError("jobs must be at least 1")
         self.jobs = jobs
-        self.respawns = 0
         self._ctx: Any = None
         self._outbox: Any = None
         self._workers: dict[int, _PoolWorker] = {}
@@ -539,7 +534,6 @@ class LocalExecutor(Executor):
     def _respawn(self, worker_id: int, **data: Any) -> None:
         del self._workers[worker_id]
         replacement = self._spawn()
-        self.respawns += 1
         if self._events is not None:
             self._events.emit(
                 ev.WORKER_RESPAWNED, "warning", worker=replacement.worker_id,

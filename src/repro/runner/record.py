@@ -10,6 +10,11 @@ registry of the run, and the measured speedup over the serial path.
 :func:`RunRecord.from_json` -- so the schema carries an explicit
 version and only grows, never mutates.
 
+The chunk trace, the per-worker stats, the failure report and the
+retry, quarantine, resume, degrade and host fields of an engine run
+are one fold of that run's event log (:func:`fold_run`), so a record
+agrees with its own ``events`` by construction.
+
 Schema history
 --------------
 
@@ -57,10 +62,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 from repro.core.serialize import json_default  # noqa: F401  (re-exported)
 from repro.core.serialize import dumps
+from repro.obs import events as ev
 
 #: Schema identifier embedded in every serialized record.  Bump the
 #: trailing version only for incompatible changes; additions are free.
@@ -120,7 +126,7 @@ class FailureEvent:
     worker process exited without reporting).  ``attempt`` is 0-based;
     ``action`` records what the supervisor did next (``"retry"``,
     ``"quarantine"``, ``"serial"`` or ``"fail"``).  ``at_seconds`` is
-    the offset from dispatch start, comparable with the chunk trace.
+    the offset from the execute-phase start, the chunk trace's clock.
     """
 
     kind: str
@@ -134,6 +140,84 @@ class FailureEvent:
     error: str | None = None
     exitcode: int | None = None
     at_seconds: float | None = None
+
+
+#: The failure events, each folded into one :class:`FailureEvent` with
+#: this ``action``.
+FAILURE_ACTIONS = {
+    ev.CHUNK_RETRIED: "retry",
+    ev.CHUNK_QUARANTINED: "quarantine",
+    ev.FALLBACK_SERIAL: "serial",
+    ev.CHUNK_FAILED: "fail",
+}
+
+
+def fold_run(events: Iterable[ev.Event], epoch: float) -> dict[str, Any]:
+    """The :class:`RunRecord` fields one run's slice of its event log
+    determines; ``epoch`` is the execute-phase start (``perf_counter``).
+
+    Each failure event (:data:`FAILURE_ACTIONS`) is one
+    :class:`FailureEvent`; ``chunk_retried`` names the *next* attempt.
+    Each merged chunk has one ``chunk_completed``, stamped at the merged
+    copy's end with its ``pid``, ``host`` and busy ``seconds`` (resumed
+    chunks land zero-width at 0.0); workers are numbered by the first
+    appearance of their ``(host, pid)`` in chunk-start order.  Failures
+    count across the slice; chunks, workers, gaps and resumed chunks
+    restart at a ``run_degraded``, whose one-chunk rerun replaces them.
+    """
+    failures: list[FailureEvent] = []
+    merged: list[ev.Event] = []
+    quarantined: list[tuple[int, int]] = []
+    degraded = False
+    for e in events:
+        action = FAILURE_ACTIONS.get(e.name)
+        if action is not None:
+            failures.append(
+                FailureEvent(
+                    kind=e.data["kind"],
+                    start=e.chunk[0],
+                    stop=e.chunk[1],
+                    attempt=e.attempt - 1 if action == "retry" else e.attempt,
+                    action=action,
+                    worker=e.worker,
+                    pid=e.pid,
+                    error=e.data.get("error"),
+                    exitcode=e.data.get("exitcode"),
+                    at_seconds=e.ts - epoch,
+                )
+            )
+            if action == "quarantine":
+                quarantined.append(e.chunk)
+        elif e.name == ev.CHUNK_COMPLETED:
+            merged.append(e)
+        elif e.name == ev.RUN_DEGRADED:
+            degraded = True
+            merged, quarantined = [], []
+    chunks: list[ChunkTrace] = []
+    workers: dict[tuple[str | None, int | None], WorkerStats] = {}
+    for e in sorted(merged, key=lambda e: e.chunk):
+        (start, stop), seconds = e.chunk, e.data["seconds"]
+        stats = workers.get((e.host, e.pid))
+        if stats is None:
+            stats = workers[(e.host, e.pid)] = WorkerStats(
+                worker=len(workers), pid=e.pid, chunks=0, tasks=0, busy_seconds=0.0, host=e.host
+            )
+        end = max(0.0, e.ts - epoch)
+        begin = max(0.0, end - seconds)
+        chunks.append(ChunkTrace(stats.worker, start, stop, begin, end))
+        stats.chunks += 1
+        stats.tasks += stop - start
+        stats.busy_seconds += seconds
+    return {
+        "chunks": chunks,
+        "workers": list(workers.values()),
+        "failures": failures,
+        "retries": sum(f.action == "retry" for f in failures),
+        "quarantined": sorted(quarantined),
+        "resumed_chunks": sum(bool(e.data.get("resumed")) for e in merged),
+        "degraded": degraded,
+        "hosts": sorted({w.host for w in workers.values() if w.host}),
+    }
 
 
 @dataclass

@@ -22,9 +22,13 @@ backend rather than a baked-in process pool:
   ``on_failure`` policy the run fails fast, quarantines the chunk (the
   run completes with a structured gap report), or re-executes the chunk
   serially in the parent process;
-* every failed attempt becomes a
-  :class:`~repro.runner.record.FailureEvent` in the run record, so the
-  recovery story is part of the run's machine-readable provenance;
+* every failed attempt is narrated by one failure event
+  (``chunk_retried``, ``chunk_quarantined``, ``fallback_serial`` or
+  ``chunk_failed``) and every merged chunk by one ``chunk_completed``,
+  each carrying what the run record needs:
+  :func:`~repro.runner.record.fold_run` turns them into the record's
+  failure report and chunk trace, so the supervisor keeps no tally of
+  its own beyond the state that drives dispatch;
 * the supervisor is the one place worker-side events enter the run's
   :class:`~repro.obs.events.EventLog`: it absorbs the buffer of every
   landed payload -- stale speculative copies and the serial fallback's
@@ -46,14 +50,14 @@ import time
 from collections import deque
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Callable
+from typing import Any, Callable
 
 from repro.core.benchmark import ExecutionResult
 from repro.obs import events as ev
 from repro.obs.events import EventLog
 from repro.runner.config import RunConfig
 from repro.runner.executors import ChunkEvent, Executor
-from repro.runner.record import FailureEvent
+from repro.runner.record import FailureEvent, fold_run
 from repro.runner.retry import BackoffPolicy
 from repro.runner.worker import ChunkPayload
 
@@ -84,11 +88,6 @@ class SupervisedExecution:
     payloads: list[ChunkPayload]
     failures: list[FailureEvent] = field(default_factory=list)
     quarantined: list[tuple[int, int]] = field(default_factory=list)
-    retries: int = 0
-    timeouts: int = 0
-    worker_deaths: int = 0
-    respawns: int = 0
-    attempts_by_chunk: dict[tuple[int, int], int] = field(default_factory=dict)
 
 
 class ChunkSupervisor:
@@ -113,10 +112,11 @@ class ChunkSupervisor:
         Optional callback ``(start, stop, result)`` invoked as each
         chunk completes -- the checkpoint hook.
     events:
-        Optional :class:`~repro.obs.events.EventLog` receiving the
+        The :class:`~repro.obs.events.EventLog` receiving the
         chunk-lifecycle narrative (dispatched/completed/retried/
         quarantined/failed/fallback-serial) and every landed payload's
-        worker-side events as they happen.
+        worker-side events as they happen; ``None`` creates a private
+        log.
     """
 
     def __init__(
@@ -132,17 +132,15 @@ class ChunkSupervisor:
         self.backoff = BackoffPolicy()
         self.serial_fallback = serial_fallback
         self.on_chunk_done = on_chunk_done
-        self.events = events
+        self.events = events if events is not None else EventLog()
         self._seq = 0
+        #: Seq before this dispatch's first event, and its start time.
+        self._since = -1
+        self._epoch = 0.0
 
-    def _emit(self, name: str, level: str = "info", **kwargs) -> None:
-        if self.events is not None:
-            self.events.emit(name, level, **kwargs)
-
-    def _absorb(self, payload: ChunkPayload, worker: int | str | None) -> None:
-        """Merge a landed payload's worker-side events into the run's log."""
-        if self.events is not None and payload.events:
-            self.events.absorb(payload.events, worker=worker, host=payload.host)
+    def _failures(self) -> list[FailureEvent]:
+        """This dispatch's failed attempts, folded from its own events."""
+        return fold_run(self.events.tail(self._since), self._epoch)["failures"]
 
     # -- supervision loop ---------------------------------------------
 
@@ -156,12 +154,12 @@ class ChunkSupervisor:
         results: dict[tuple[int, int], ChunkPayload] = dict(preloaded or {})
         quarantined: set[tuple[int, int]] = set()
         attempts: dict[tuple[int, int], int] = {}
-        out = SupervisedExecution(payloads=[])
         pending: deque[tuple[int, int]] = deque(
             chunk for chunk in bounds if chunk not in results
         )
         delayed: list[tuple[float, int, tuple[int, int]]] = []
-        epoch = time.perf_counter()
+        self._since = self.events.next_seq - 1
+        self._epoch = time.perf_counter()
         use_deadline = self.config.timeout is not None and self.executor.capabilities.timeouts
 
         while len(results) + len(quarantined) < len(bounds):
@@ -174,27 +172,20 @@ class ChunkSupervisor:
                 if chunk in results or chunk in quarantined:
                     continue
                 deadline = now + self.config.timeout if use_deadline else None
-                self._emit(
-                    ev.CHUNK_DISPATCHED, "debug", chunk=chunk,
-                    attempt=attempts.get(chunk, 0),
+                self.events.emit(
+                    ev.CHUNK_DISPATCHED, "debug", chunk=chunk, attempt=attempts.get(chunk, 0)
                 )
                 self.executor.submit(
                     *chunk, ordinals[chunk], attempts.get(chunk, 0), deadline
                 )
             for event in self.executor.collect(POLL_SECONDS):
-                self._handle_event(
-                    event, results, quarantined, attempts, delayed, epoch, out
-                )
+                self._handle_event(event, results, quarantined, attempts, delayed)
 
-        out.payloads = [results[chunk] for chunk in bounds if chunk in results]
-        out.quarantined = sorted(quarantined)
-        out.respawns = self.executor.respawns
-        out.attempts_by_chunk = {
-            chunk: attempts.get(chunk, 0) + 1
-            for chunk in bounds
-            if chunk in results or chunk in quarantined
-        }
-        return out
+        return SupervisedExecution(
+            payloads=[results[chunk] for chunk in bounds if chunk in results],
+            failures=self._failures(),
+            quarantined=sorted(quarantined),
+        )
 
     # -- event handling -----------------------------------------------
 
@@ -205,33 +196,38 @@ class ChunkSupervisor:
         quarantined: set,
         attempts: dict,
         delayed: list,
-        epoch: float,
-        out: SupervisedExecution,
     ) -> None:
         chunk = event.chunk
         if event.kind == "ok":
-            self._absorb(event.payload, event.worker)
+            self.events.absorb(event.payload.events, worker=event.worker, host=event.payload.host)
             if chunk not in results and chunk not in quarantined:
-                results[chunk] = event.payload
-                self._emit(
-                    ev.CHUNK_COMPLETED, "info", chunk=chunk,
-                    attempt=event.attempt, worker=event.worker,
-                    pid=event.pid, tasks=chunk[1] - chunk[0],
-                )
-                if self.on_chunk_done is not None:
-                    self.on_chunk_done(chunk[0], chunk[1], event.payload.result)
+                self._merge(results, event)
             return
         if chunk in results or chunk in quarantined:
             # a stale failure (e.g. a speculative copy's host was lost
             # after the primary already completed): nothing to recover
             return
-        if event.kind == "timeout":
-            out.timeouts += 1
-        elif event.kind == "worker-died":
-            out.worker_deaths += 1
-        self._chunk_failed(
-            event, results, quarantined, attempts, delayed, epoch, out
+        self._chunk_failed(event, results, quarantined, attempts, delayed)
+
+    def _merge(self, results: dict, event: ChunkEvent) -> None:
+        """Accept the attempt's payload as its chunk's result, narrated by
+        the one ``chunk_completed`` the record's chunk trace is folded from."""
+        payload = event.payload
+        results[event.chunk] = payload
+        self.events.emit(
+            ev.CHUNK_COMPLETED,
+            "info",
+            chunk=event.chunk,
+            attempt=event.attempt,
+            worker=event.worker,
+            host=payload.host,
+            pid=payload.pid,
+            ts=payload.end,
+            tasks=payload.stop - payload.start,
+            seconds=round(payload.end - payload.begin, 6),
         )
+        if self.on_chunk_done is not None:
+            self.on_chunk_done(payload.start, payload.stop, payload.result)
 
     def _chunk_failed(
         self,
@@ -240,62 +236,43 @@ class ChunkSupervisor:
         quarantined: set,
         attempts: dict,
         delayed: list,
-        epoch: float,
-        out: SupervisedExecution,
     ) -> None:
-        """Record one failed attempt and decide retry vs poison."""
+        """Narrate one failed attempt and decide retry vs poison."""
         chunk = event.chunk
-        start, stop = chunk
         attempt = attempts.get(chunk, 0)
         attempts[chunk] = attempt + 1
-        will_retry = attempt + 1 <= self.config.retries
-        action = "retry" if will_retry else self.config.on_failure
-        out.failures.append(
-            FailureEvent(
-                kind=event.kind,
-                start=start,
-                stop=stop,
-                attempt=attempt,
-                action=action,
-                worker=event.worker,
-                pid=event.pid,
-                error=event.error,
-                exitcode=event.exitcode,
-                at_seconds=time.perf_counter() - epoch,
-            )
-        )
-        if will_retry:
-            out.retries += 1
+        if attempt < self.config.retries:
             delay = self.backoff.delay(attempt + 1)
             self._seq += 1
             heappush(delayed, (time.perf_counter() + delay, self._seq, chunk))
-            self._emit(
-                ev.CHUNK_RETRIED, "warning", chunk=chunk, attempt=attempt + 1,
-                worker=event.worker, pid=event.pid,
-                kind=event.kind, error=event.error, delay=round(delay, 6),
-            )
+            self._narrate(ev.CHUNK_RETRIED, "warning", event, attempt + 1, delay=round(delay, 6))
             return
         # retry budget exhausted: the chunk is poisoned
         if self.config.on_failure == "fail":
-            self._emit(
-                ev.CHUNK_FAILED, "error", chunk=chunk, attempt=attempt,
-                worker=event.worker, kind=event.kind, error=event.error,
-            )
-            raise ChunkFailedError(start, stop, out.failures)
+            self._narrate(ev.CHUNK_FAILED, "error", event, attempt)
+            raise ChunkFailedError(*chunk, self._failures())
         if self.config.on_failure == "serial" and self.serial_fallback is not None:
-            self._emit(
-                ev.FALLBACK_SERIAL, "warning", chunk=chunk, attempt=attempt,
-                kind=event.kind, error=event.error,
-            )
-            payload = self.serial_fallback(start, stop)
+            self._narrate(ev.FALLBACK_SERIAL, "warning", event, attempt)
+            payload = self.serial_fallback(*chunk)
             # runs in this process: no backend worker slot to attribute
-            self._absorb(payload, None)
-            results[chunk] = payload
-            if self.on_chunk_done is not None:
-                self.on_chunk_done(start, stop, payload.result)
+            self.events.absorb(payload.events)
+            self._merge(results, ChunkEvent("ok", chunk, payload=payload))
             return
         quarantined.add(chunk)
-        self._emit(
-            ev.CHUNK_QUARANTINED, "error", chunk=chunk, attempt=attempt,
-            worker=event.worker, kind=event.kind, error=event.error,
+        self._narrate(ev.CHUNK_QUARANTINED, "error", event, attempt)
+
+    def _narrate(self, name: str, level: str, event: ChunkEvent, attempt: int, **data: Any) -> None:
+        """One failure event, carrying what its :class:`FailureEvent` needs
+        (``pid`` stays unknown when the backend could not tell it)."""
+        self.events.emit(
+            name,
+            level,
+            chunk=event.chunk,
+            attempt=attempt,
+            worker=event.worker,
+            pid=event.pid,
+            kind=event.kind,
+            error=event.error,
+            exitcode=event.exitcode,
+            **data,
         )

@@ -149,6 +149,50 @@ class TestStatusFold:
         assert (status["chunks"]["done"], status["chunks"]["total"]) == (1, 1)
         assert status["tasks"] == {"total": 8, "done": 8}
 
+    @pytest.mark.parametrize(
+        "knobs, actions",
+        [
+            (dict(retries=1, fault_plan="raise@1"), ["retry"]),
+            (dict(on_failure="quarantine", fault_plan="raise@1x9"), ["quarantine"]),
+        ],
+        ids=["retried", "quarantined"],
+    )
+    def test_pool_lost_after_a_failure_keeps_one_story(self, monkeypatch, knobs, actions):
+        from repro.core.datasets import DatasetSize
+        from repro.runner import FaultPlan, ParallelRunner
+        from repro.runner.executors import LocalExecutor
+        from tests.runner.test_events_flow import ToyBench
+
+        collect = LocalExecutor.collect
+        failed = []
+
+        def collect_then_lose(self, timeout):
+            # the pool reports failed attempts only (so the run cannot
+            # finish in the pool), and is lost once it has reported one
+            if failed:
+                raise OSError("every pool worker lost")
+            failed.extend(e for e in collect(self, timeout) if e.kind != "ok")
+            return list(failed)
+
+        monkeypatch.setattr(LocalExecutor, "collect", collect_then_lose)
+        bench = ToyBench(n_tasks=8)
+        knobs = dict(knobs, fault_plan=FaultPlan.parse(knobs["fault_plan"]))
+        runner = ParallelRunner(jobs=2, chunk_size=2, measure_serial=False, **knobs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rec = runner.execute(
+                bench, bench.prepare(DatasetSize.SMALL), DatasetSize.SMALL
+            ).record
+        assert failed
+        assert rec.degraded and rec.complete
+        assert [f.action for f in rec.failures] == actions
+        assert rec.retries == actions.count("retry")
+        assert rec.quarantined == []
+        status = status_from_events([Event.from_dict(e) for e in rec.events])
+        assert status["retries"] == rec.retries
+        assert status["chunks"]["quarantined"] == len(rec.quarantined)
+        assert status["chunks"]["done"] == len(rec.chunks) == 1
+
     def test_status_metrics_is_valid_openmetrics(self):
         text = status_metrics(status_from_events(_narrative(), now=12.0))
         assert text.endswith("# EOF\n")

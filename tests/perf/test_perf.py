@@ -7,8 +7,14 @@ lives in benchmarks/.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.core.datasets import DatasetSize
 from repro.perf.characterize import run_instrumented
@@ -167,3 +173,46 @@ class TestMeasuredScaling:
         assert list(curve.threads) == [1, 2]
         assert len(curve.speedups) == 2
         assert all(s > 0 for s in curve.speedups)
+
+
+#: Traced accesses of a few dbg k-mer probes and pileup record fetches,
+#: printed as one stream.
+TRACE_PROBE = """
+import numpy as np
+from repro.core.instrument import Instrumentation
+from repro.dbg.graph import DeBruijnGraph
+from repro.io.cigar import Cigar
+from repro.io.regions import GenomicRegion
+from repro.io.sam import AlignmentRecord
+from repro.pileup.counts import count_region
+
+instr = Instrumentation.with_trace()
+DeBruijnGraph(5).add_sequence("ACGTTGCAACGGTACCTTAG", instr=instr)
+records = [
+    AlignmentRecord(
+        qname=f"read{i}", flag=0, rname="c", pos=i, mapq=60,
+        cigar=Cigar.parse("8M"), seq="ACGTACGT", quals=np.full(8, 30),
+    )
+    for i in range(4)
+]
+count_region(records, GenomicRegion("c", 0, 16), instr=instr)
+print(list(instr.trace.accesses()))
+"""
+
+
+class TestMemoryTraceStability:
+    def test_traced_accesses_do_not_depend_on_the_hash_seed(self):
+        src = str(Path(repro.__file__).resolve().parents[1])
+        streams = []
+        for seed in ("1", "2"):
+            env = {
+                **os.environ,
+                "PYTHONHASHSEED": seed,
+                "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            }
+            probe = subprocess.run(
+                [sys.executable, "-c", TRACE_PROBE],
+                env=env, capture_output=True, text=True, check=True, timeout=60,
+            )
+            streams.append(probe.stdout)
+        assert streams[0].startswith("[(") and streams[0] == streams[1]

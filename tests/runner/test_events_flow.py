@@ -17,8 +17,8 @@ from repro.core.datasets import DatasetSize
 from repro.obs import events as ev
 from repro.obs.events import Event, EventLog
 from repro.obs.live import status_from_events
-from repro.runner import FaultPlan, ParallelRunner
-from repro.runner.record import SCHEMA
+from repro.runner import FaultPlan, ParallelRunner, WorkloadCache
+from repro.runner.record import FAILURE_ACTIONS, SCHEMA
 
 
 class ToyBench(Benchmark):
@@ -195,6 +195,59 @@ class TestFailureNarratives:
         assert ev.WORKER_RESPAWNED in names
         died = next(e for e in run.record.events if e["name"] == ev.WORKER_DIED)
         assert died["level"] == "error"
+
+
+#: One run per engine path that merges, retries, drops or restores chunks.
+AGREEMENT = {
+    "jobs1": dict(jobs=1),
+    "pool": dict(jobs=2, chunk_size=2),
+    "serial-executor": dict(jobs=2, chunk_size=2, executor="serial"),
+    "serial-fallback": dict(
+        jobs=2, chunk_size=2, on_failure="serial", fault_plan=FaultPlan.parse("raise@0x9")
+    ),
+    "retry": dict(jobs=2, chunk_size=2, retries=2, fault_plan=FaultPlan.parse("raise@2x1")),
+    "quarantine": dict(
+        jobs=2, chunk_size=2, on_failure="quarantine", fault_plan=FaultPlan.parse("raise@1x9")
+    ),
+    "kill-respawn": dict(jobs=2, chunk_size=2, retries=1, fault_plan=FaultPlan.parse("kill@1x1")),
+    "resume": dict(jobs=2, chunk_size=2, resume=True),
+}
+
+
+class TestRecordAgreesWithEvents:
+    @pytest.mark.parametrize("scenario", list(AGREEMENT))
+    def test_record_is_a_fold_of_its_events(self, toy, tmp_path, scenario):
+        bench, workload = toy
+        knobs = dict(AGREEMENT[scenario])
+        if scenario == "resume":
+            # an interrupted run leaves every chunk but the poisoned one
+            # checkpointed; the rerun restores them
+            knobs["cache"] = WorkloadCache(tmp_path)
+            _run(
+                bench, workload, on_failure="quarantine",
+                fault_plan=FaultPlan.parse("raise@1x9"), **knobs,
+            )
+        rec = _run(bench, workload, **knobs).record
+        if scenario == "resume":
+            assert rec.resumed_chunks == 3
+
+        def named(name):
+            return [e for e in rec.events if e["name"] == name]
+
+        completed = sorted(tuple(e["chunk"]) for e in named(ev.CHUNK_COMPLETED))
+        assert completed == [(c.start, c.stop) for c in rec.chunks]
+        failures = [e for e in rec.events if e["name"] in FAILURE_ACTIONS]
+        assert len(rec.failures) == len(failures)
+        assert rec.retries == len(named(ev.CHUNK_RETRIED))
+        assert rec.quarantined == sorted(
+            tuple(e["chunk"]) for e in named(ev.CHUNK_QUARANTINED)
+        )
+        respawned = len(named(ev.WORKER_RESPAWNED))
+        assert rec.metrics["counters"]["engine.respawns"] == respawned
+        status = status_from_events([Event.from_dict(e) for e in rec.events])
+        assert status["chunks"]["done"] == len(rec.chunks)
+        assert status["retries"] == rec.retries
+        assert status["chunks"]["quarantined"] == len(rec.quarantined)
 
 
 class TestSharedLogSlicing:

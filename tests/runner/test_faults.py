@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+import repro.api as api
 from repro.core.benchmark import Benchmark, ExecutionResult
 from repro.core.datasets import DatasetSize
 from repro.runner import (
@@ -16,6 +17,7 @@ from repro.runner import (
     WorkloadCache,
 )
 from repro.runner.engine import MAX_OVERSUBSCRIPTION
+from repro.runner.record import FAILURE_ACTIONS
 import os
 
 
@@ -106,6 +108,22 @@ class TestRecovery:
         assert event.kind == "exception" and event.action == "retry"
         assert "InjectedFault" in event.error
         assert run.record.complete
+
+    def test_failure_times_are_on_the_chunk_trace_clock(self):
+        # failures and chunks share the execute-phase epoch; a clock
+        # started after the backend opens (for the distributed backend,
+        # after connecting every host) drifts from the chunk trace
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rec = api.run(
+                "grm", "small", jobs=2, chunk_size=1, retries=1,
+                measure_serial=False, fault_plan=FaultPlan.parse("raise@2"),
+            ).record
+        narrated = [e for e in rec.events if e["name"] in FAILURE_ACTIONS]
+        assert len(narrated) == len(rec.failures) == 1
+        for failure, event in zip(rec.failures, narrated):
+            assert failure.at_seconds == pytest.approx(event["t"], abs=1e-6)
+            assert 0.0 <= failure.at_seconds <= rec.execute_seconds
 
     def test_killed_worker_detected_and_respawned(self, toy):
         bench, workload, serial = toy
