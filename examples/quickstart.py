@@ -43,7 +43,7 @@ def main() -> None:
         from repro.obs.trace import Tracer
 
         tracer = Tracer()
-    runner = ParallelRunner(jobs=args.jobs, measure_serial=False, tracer=tracer)
+    runner = ParallelRunner(jobs=args.jobs, tracer=tracer)
 
     rows = []
     metrics_tables = []

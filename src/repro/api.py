@@ -138,8 +138,7 @@ def bench_record(
     recorded :class:`~repro.runner.record.RunRecord` values after
     appending them to ``history`` (default: the per-host
     ``BENCH_<host>.json`` used by ``bench check`` regression gating).
-    The serial baseline is skipped -- histories track parallel
-    throughput only.
+    Histories track throughput only, so leave ``measure_serial`` off.
     """
     from repro.obs.history import BenchHistory
 
@@ -147,7 +146,7 @@ def bench_record(
     for name in names:
         get_kernel(name)
     size = coerce_size(size)
-    runner = ParallelRunner(cache=cache, measure_serial=False, **knobs)
+    runner = ParallelRunner(cache=cache, **knobs)
     records = [runner.run(name, size).record for name in names]
     BenchHistory(history).append(records)
     return records

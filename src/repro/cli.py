@@ -166,7 +166,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         hosts=args.hosts,
         jobs=args.jobs,
         chunk_size=args.chunk_size,
-        measure_serial=False if args.no_baseline else None,
+        measure_serial=args.baseline,
         timeout=args.timeout,
         retries=args.retries,
         on_failure=args.on_failure,
@@ -765,9 +765,14 @@ def _cmd_worker(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve_workers(args: argparse.Namespace) -> int:
+    import signal
+
     from repro.runner.distributed import serve_workers
 
     daemons = serve_workers(args.count, args.bind_host, args.base_port)
+    # SIGTERM stops the daemons as Ctrl-C does; set after they start so
+    # they keep the default action and die on terminate()
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     addrs = ", ".join(
         f"{args.bind_host}:{args.base_port + i}" for i in range(args.count)
     )
@@ -1168,8 +1173,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="workload cache root (default: $GENOMICSBENCH_CACHE_DIR or ~/.cache/genomicsbench/workloads)",
     )
     run.add_argument(
-        "--no-baseline", action="store_true",
-        help="skip the serial baseline run that measures parallel speedup",
+        "--baseline", action=argparse.BooleanOptionalAction, default=False,
+        help="also time a serial run first and report the speedup (runs each kernel twice)",
     )
     run.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",

@@ -136,9 +136,7 @@ def measured_scaling_curve(
         if t == 1:
             speedups.append(1.0)
             continue
-        run = ParallelRunner(jobs=t, measure_serial=False).execute(
-            bench, workload, size
-        )
+        run = ParallelRunner(jobs=t).execute(bench, workload, size)
         speedups.append(serial.record.execute_seconds / run.record.execute_seconds)
     return ScalingCurve(
         kernel=kernel,

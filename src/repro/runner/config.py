@@ -84,9 +84,9 @@ class RunConfig:
     #: them.  Never taken from the wire: the coordinator unpickles
     #: whatever the hosts it dials send back.
     hosts: Sequence[str] | None = None
-    #: Also time an in-process serial execution and record the speedup.
-    #: ``None`` measures it only when more than one slot runs.
-    measure_serial: bool | None = None
+    #: Time an in-process serial execution before the sharded one and
+    #: record ``speedup_vs_serial``; off by default, as it runs the kernel twice.
+    measure_serial: bool = False
     #: Injected failures for chaos testing (``None`` = no injection).
     fault_plan: FaultPlan | None = None
     #: With a cache attached, checkpoint each completed chunk result
@@ -115,6 +115,8 @@ class RunConfig:
         if self.chunk_size is not None:
             _check_int("chunk_size", self.chunk_size, 1)
         _check_int("retries", self.retries, 0)
+        if not isinstance(self.measure_serial, bool):
+            raise ValueError(f"measure_serial must be a boolean, got {self.measure_serial!r}")
         if self.timeout is not None:
             _check_positive("timeout", self.timeout)
         _check_positive("profile_hz", self.profile_hz)

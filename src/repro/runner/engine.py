@@ -20,9 +20,9 @@ task, the engine runs the whole workload in this process as one chunk
 no pool, no IPC, the workload passed by reference.  Pool workers get
 the workload as a process argument -- inherited copy-on-write under
 ``fork``, pickled once per worker under ``spawn``.  Every run produces
-a :class:`~repro.runner.record.RunRecord` with the chunk trace,
-per-worker busy times and (optionally) the measured speedup over an
-in-process serial execution of the same prepared workload.
+a :class:`~repro.runner.record.RunRecord` with the chunk trace and
+per-worker busy times; opting in with ``measure_serial=True`` (``run
+--baseline``) adds the speedup over a serial replay, which runs the kernel twice.
 
 Fault tolerance
 ---------------
@@ -70,8 +70,8 @@ The engine is the root publisher of the :mod:`repro.obs` layer:
   path, with per-chunk profiles shipped back and merged at shard
   boundaries exactly like span buffers -- and the per-phase folded
   stacks plus a top-N hotspot table land in the schema-v4 record.
-  The serial-baseline phase is deliberately *not* profiled so the
-  measured speedup stays clean.
+  The opt-in serial-baseline phase is deliberately *not* profiled so
+  the measured speedup stays clean.
 * With ``telemetry=True`` each worker samples its own ``/proc/self``
   CPU/RSS/context-switch series during chunk execution
   (:mod:`repro.obs.telemetry`); the engine merges series per worker,
@@ -358,8 +358,7 @@ class ParallelRunner:
             slots = max(1, executor.parallelism)
             chunk_size = self._effective_chunk_size(n_tasks, slots)
         serial_seconds = None
-        measure = cfg.measure_serial if cfg.measure_serial is not None else slots > 1
-        if measure:
+        if cfg.measure_serial:
             with self._span("engine.serial_baseline", kernel=bench.name):
                 t0 = time.perf_counter()
                 as_execution_result(bench.execute(workload), bench.name)

@@ -492,7 +492,6 @@ class JobService:
                 job.spec.kernel,
                 job.spec.size,
                 cache=self.cache,
-                measure_serial=False,
                 obs=obs,
                 **job.spec.config,
             )

@@ -140,15 +140,13 @@ def run_sweep(
         emit(ev.CELL_STARTED, cell_id=cell.cell_id, label=cell.label)
         started = time.perf_counter()
         try:
-            kwargs = cell.run_kwargs()
-            kwargs.setdefault("measure_serial", False)
             run = api.run(
                 cell.kernel,
                 cell.size,
                 cache=cache,
                 resume=resume,
                 obs=o,
-                **kwargs,
+                **cell.run_kwargs(),
             )
         except Exception as exc:  # noqa: BLE001 - every cell error is data
             emit(

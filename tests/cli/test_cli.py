@@ -1,12 +1,21 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import pathlib
+import signal
+import socket
+import subprocess
+import sys
+import time
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.obs.telemetry import telemetry_supported
 from repro.runner.record import SCHEMA, RunRecord
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParser:
@@ -33,6 +42,16 @@ class TestParser:
         assert main(["run", "grm", "--jobs", "2", "--no-cache"]) == 0
         out = capsys.readouterr().out
         assert "jobs=2" in out and "speedup" in out
+
+    @pytest.mark.parametrize("flags", [[], ["--no-baseline"], ["--baseline"]])
+    def test_run_serial_baseline_is_opt_in(self, flags, capsys):
+        args = ["run", "grm", "--jobs", "2", "--no-cache", "--format", "json", *flags]
+        assert main(args) == 0
+        serial = json.loads(capsys.readouterr().out)["data"]["serial_seconds"]
+        if flags == ["--baseline"]:
+            assert serial > 0
+        else:
+            assert serial is None
 
     def test_run_json_format_emits_schema_stable_record(self, capsys):
         assert main(["run", "grm", "--no-cache", "--format", "json"]) == 0
@@ -415,3 +434,55 @@ class TestEngineValues:
         assert str(info.value.code).startswith(message)
         assert prepare_calls == []
         assert not (tmp_path / "B.json").exists()
+
+
+def _free_port_pair():
+    """A port ``p`` such that ``p`` and ``p + 1`` are both free to bind."""
+    for _ in range(50):
+        with socket.socket() as first, socket.socket() as second:
+            first.bind(("127.0.0.1", 0))
+            port = first.getsockname()[1]
+            try:
+                second.bind(("127.0.0.1", port + 1))
+            except (OSError, OverflowError):
+                continue
+        return port
+    raise RuntimeError("no two consecutive free ports")
+
+
+def _accepts(port):
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=0.5).close()
+    except OSError:
+        return False
+    return True
+
+
+class TestServeWorkers:
+    def test_sigterm_stops_the_daemons(self):
+        port = _free_port_pair()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve-workers", "2", "--base-port", str(port)],
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            stderr=subprocess.DEVNULL,
+            start_new_session=True,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (_accepts(port) and _accepts(port + 1)):
+                assert proc.poll() is None, "serve-workers exited before listening"
+                assert time.monotonic() < deadline, "daemons never listened"
+                time.sleep(0.1)
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 5
+            while _accepts(port) or _accepts(port + 1):
+                assert time.monotonic() < deadline, "a daemon outlived its parent"
+                time.sleep(0.1)
+            assert proc.returncode == 0
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait()

@@ -32,6 +32,8 @@ BAD_VALUES = [
     ("profile_hz", 0),
     ("profile_hz", float("nan")),
     ("telemetry_interval", -0.05),
+    ("measure_serial", 1),
+    ("measure_serial", "yes"),
 ]
 
 
@@ -62,6 +64,8 @@ def test_messages_name_the_valid_range_or_choices():
         RunConfig(on_failure="explode")
     with pytest.raises(ValueError, match="local.*serial"):
         RunConfig(executor="warp-drive")
+    with pytest.raises(ValueError, match="^measure_serial must be a boolean, got None"):
+        RunConfig(measure_serial=None)
 
 
 def test_a_remote_backend_needs_hosts():

@@ -10,6 +10,7 @@ from repro.core.benchmark import Benchmark, load_benchmark
 from repro.core.datasets import DatasetSize
 from repro.core.registry import kernel_names
 from repro.kmer.table import HashTable
+from repro.obs.trace import Tracer
 from repro.runner.engine import ParallelRunner, default_chunk_size
 
 
@@ -81,11 +82,23 @@ def test_chunk_trace_covers_every_task_exactly_once():
 
 
 def test_measured_speedup_recorded_when_parallel():
-    run = api.run("grm", "small", jobs=2)
+    run = api.run("grm", "small", jobs=2, measure_serial=True)
     assert run.record.serial_seconds is not None
     assert run.record.speedup_vs_serial is not None
     assert run.record.speedup_vs_serial > 0.0
     assert run.record.scheduling_efficiency is not None
+
+
+def test_pooled_run_skips_baseline_by_default():
+    tracer = Tracer()
+    run = api.run(
+        "grm", "small", executor="local", jobs=2, obs=api.ObsOptions(tracer=tracer)
+    )
+    assert run.record.serial_seconds is None
+    assert run.record.speedup_vs_serial is None
+    assert "run.serial_seconds" not in run.record.metrics["gauges"]
+    names = {s.name for s in tracer.spans}
+    assert "engine.execute" in names and "engine.serial_baseline" not in names
 
 
 def test_serial_run_skips_baseline_by_default():
