@@ -612,20 +612,17 @@ def _cmd_runner(args: argparse.Namespace) -> int:
     if getattr(args, "topic", None) == "executors":
         from repro.runner import available_executors
 
-        rows = []
-        data = []
-        for name, cls in available_executors().items():
-            caps = cls.capabilities.as_dict()
-            doclines = (cls.__doc__ or "").strip().splitlines()
-            summary = doclines[0] if doclines else ""
-            rows.append(
-                (
-                    name,
-                    ", ".join(k for k, v in sorted(caps.items()) if v) or "-",
-                    summary,
-                )
+        # listed under the name --executor accepts, which register() may
+        # set apart from the class's own
+        data = [{**cls.describe(), "name": name} for name, cls in available_executors().items()]
+        rows = [
+            (
+                doc["name"],
+                ", ".join(k for k, v in sorted(doc["capabilities"].items()) if v) or "-",
+                doc["summary"],
             )
-            data.append({"name": name, "capabilities": caps, "summary": summary})
+            for doc in data
+        ]
         _emit(
             [
                 Report(

@@ -19,7 +19,10 @@ Everything served is a **pure fold over the event log**
 never touches engine internals, so any component that publishes events
 is automatically observable -- the same fold powers status for a local
 pool and a multi-host TCP run, whose remote events arrive already
-clock-rebased.  This is the load-bearing interface for the ROADMAP's
+clock-rebased.  Progress, retries and gaps are the run record's own
+fold of the events since the latest ``run_started``
+(:func:`~repro.runner.record.fold_run`), so a run's live status and its
+finished record count the same chunks.  This is the load-bearing interface for the ROADMAP's
 ``repro serve`` daemon: submit/poll/fetch needs exactly this view.
 """
 
@@ -38,6 +41,7 @@ from repro.obs.httpd import (
     Reply,
     Request,
 )
+from repro.runner.record import fold_run
 
 
 def status_from_events(
@@ -49,10 +53,12 @@ def status_from_events(
     elapsed/throughput/ETA estimates (defaults to the current time).
     The fold restarts at the latest ``run_started``, so a shared log
     driving several sequential runs (the CLI's multi-kernel loop)
-    always reports the run in progress.  A chunk counts done once,
-    whether ``chunk_completed`` or ``fallback_serial`` marks it; a
-    ``run_degraded`` carrying the rerun's geometry restarts progress
-    and gaps, as the run record's fold does.
+    always reports the run in progress.  Progress, retries, gaps and
+    the degrade flag are the run record's own fold of that slice
+    (:func:`~repro.runner.record.fold_run`); this adds what the record
+    does not carry: the run state, the totals ``execute_started`` (or
+    a degraded rerun's ``run_degraded``) announces, per-worker and
+    per-host state, and the throughput and ETA estimates.
     """
     now = time.perf_counter() if now is None else now
     status: dict[str, Any] = {
@@ -68,16 +74,17 @@ def status_from_events(
         "tasks": {"total": 0, "done": 0},
         "workers": {},
         "hosts": {},
-        "events": {"count": 0, "last_seq": -1},
+        "events": {"count": len(events), "last_seq": events[-1].seq if events else -1},
         "elapsed_seconds": None,
         "throughput_tasks_per_second": None,
         "eta_seconds": None,
         "degraded": False,
         "retries": 0,
     }
+    # a fresh run on a shared log: report it, not its ancestors
+    run = events[max((i for i, e in enumerate(events) if e.name == ev.RUN_STARTED), default=0) :]
     execute_ts: float | None = None
     finished_ts: float | None = None
-    done: set[tuple[int, int] | None] = set()
 
     def worker_slot(key: Any) -> dict[str, Any]:
         slot = status["workers"].setdefault(
@@ -85,17 +92,9 @@ def status_from_events(
         )
         return slot
 
-    for event in events:
-        status["events"]["count"] += 1
-        status["events"]["last_seq"] = event.seq
+    for event in run:
         data = event.data or {}
         if event.name == ev.RUN_STARTED:
-            # a fresh run on a shared log: report it, not its ancestors
-            fresh = status_from_events([], now)
-            fresh["events"] = status["events"]
-            status = fresh
-            execute_ts = finished_ts = None
-            done = set()
             status["state"] = "preparing"
             status["run_id"] = event.run_id
             status["kernel"] = data.get("kernel")
@@ -109,32 +108,18 @@ def status_from_events(
             status["chunks"]["total"] = data.get("chunks", 0)
             status["tasks"]["total"] = data.get("tasks", 0)
             execute_ts = event.ts
-        elif event.name == ev.CHUNK_DISPATCHED:
-            pass  # in-flight state is tracked per worker below
         elif event.name == ev.CHUNK_STARTED:
             key = event.worker if event.worker is not None else event.host
             if key is not None:  # None: the coordinator's serial fallback
                 slot = worker_slot(key)
                 slot["state"] = "busy"
                 slot["host"] = event.host
-        elif event.name in (ev.CHUNK_COMPLETED, ev.FALLBACK_SERIAL):
-            if event.chunk not in done:
-                done.add(event.chunk)
-                status["chunks"]["done"] += 1
-                status["tasks"]["done"] += data.get(
-                    "tasks", (event.chunk[1] - event.chunk[0]) if event.chunk else 0
-                )
-            if event.name == ev.CHUNK_COMPLETED and event.worker is not None:
-                slot = worker_slot(event.worker)
-                slot["state"] = "idle"
-                slot["chunks"] += 1
-                slot["tasks"] += data.get("tasks", 0)
-                slot["host"] = event.host or slot["host"]
-        elif event.name == ev.CHUNK_RETRIED:
-            status["chunks"]["retried"] += 1
-            status["retries"] += 1
-        elif event.name == ev.CHUNK_QUARANTINED:
-            status["chunks"]["quarantined"] += 1
+        elif event.name == ev.CHUNK_COMPLETED and event.worker is not None:
+            slot = worker_slot(event.worker)
+            slot["state"] = "idle"
+            slot["chunks"] += 1
+            slot["tasks"] += data.get("tasks", 0)
+            slot["host"] = event.host or slot["host"]
         elif event.name == ev.CHUNK_STOLEN:
             status["chunks"]["stolen"] += 1
         elif event.name in (ev.WORKER_SPAWNED, ev.WORKER_RESPAWNED):
@@ -150,19 +135,21 @@ def status_from_events(
             if event.host is not None and str(event.host) in status["workers"]:
                 status["workers"][str(event.host)]["state"] = "dead"
         elif event.name == ev.RUN_DEGRADED:
-            status["degraded"] = True
+            # the whole workload reruns in-process as one chunk
             status["state"] = "degraded"
-            if "chunks" in data:
-                # the whole workload reruns in-process as one chunk:
-                # progress and gaps restart in that geometry, not the
-                # lost pool's
-                status["chunks"].update(total=data["chunks"], done=0, quarantined=0)
-                status["tasks"] = {"total": data["tasks"], "done": 0}
-                done = set()
+            status["chunks"]["total"] = data["chunks"]
+            status["tasks"]["total"] = data["tasks"]
         elif event.name == ev.RUN_FINISHED:
             status["state"] = "finished"
             finished_ts = event.ts
             status["elapsed_seconds"] = data.get("seconds")
+
+    folded = fold_run(run, execute_ts or 0.0)
+    status["chunks"]["done"] = len(folded["chunks"])
+    status["chunks"]["retried"] = status["retries"] = folded["retries"]
+    status["chunks"]["quarantined"] = len(folded["quarantined"])
+    status["tasks"]["done"] = sum(c.stop - c.start for c in folded["chunks"])
+    status["degraded"] = folded["degraded"]
 
     if execute_ts is not None:
         end = finished_ts if finished_ts is not None else now

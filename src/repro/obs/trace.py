@@ -23,11 +23,13 @@ Three layers:
 * export -- :meth:`Tracer.to_chrome` / :meth:`Tracer.export` emit the
   trace-event format, drawing each event of the run's
   :class:`~repro.obs.events.EventLog` as an instant marker (the trace
-  keeps no second copy of the run's narrative), and
-  :func:`chrome_events_from_record` renders a stored
-  :class:`~repro.runner.record.RunRecord` chunk timeline (duration
-  events per chunk plus a ``workers.active`` counter series) without
-  needing a live tracer.
+  keeps no second copy of the run's narrative).  The chunk timeline
+  (a duration event per chunk on its worker's track, the worker-track
+  names and a ``workers.active`` counter series) is drawn from a
+  :class:`~repro.runner.record.RunRecord` by one builder,
+  :meth:`Tracer.add_chunk_timeline`: the engine draws a traced run's
+  with it, and :func:`chrome_events_from_record` a stored record's on
+  a fresh tracer.
 
 Process-safety: every chunk records into its own fresh tracer (see
 :func:`repro.runner.worker.execute_chunk`) and ships the span buffer
@@ -180,6 +182,44 @@ class Tracer:
         with self._lock:
             self._track_names[(pid, tid)] = name
 
+    def add_chunk_timeline(self, record: Any, epoch: float) -> None:
+        """Draw a :class:`~repro.runner.record.RunRecord`'s chunk timeline.
+
+        ``epoch`` is the ``perf_counter`` reading the record's chunk
+        offsets count from (the execute-phase start).  Every chunk is one
+        ``chunk[a:b)`` span on its worker's ``(pid, 0)`` track, named
+        ``worker N[ @ host]`` unless the run degraded; a
+        ``workers.active`` series on this process's track follows the
+        chunks that have an execution window (a resumed chunk lands
+        zero-width at 0.0).
+        """
+        pid_of = {w.worker: w.pid for w in record.workers}
+        boundaries: list[tuple[float, int]] = []
+        for c in record.chunks:
+            self.add_span(
+                Span(
+                    name=f"chunk[{c.start}:{c.stop})",
+                    cat="chunk",
+                    begin=epoch + c.begin,
+                    end=epoch + c.end,
+                    pid=pid_of.get(c.worker, c.worker),
+                    tid=0,
+                    args={"worker": c.worker, "tasks": c.stop - c.start},
+                )
+            )
+            if c.end > c.begin:
+                boundaries += [(c.begin, +1), (c.end, -1)]
+        if not record.degraded:
+            # a degraded run's one chunk is the coordinator's rerun in
+            # place of its lost pool: the track it sits on is no worker's
+            for w in record.workers:
+                label = f"worker {w.worker}" + (f" @ {w.host}" if w.host else "")
+                self.name_track(w.pid, 0, label)
+        active = 0
+        for t, delta in sorted(boundaries):
+            active += delta
+            self.counter("workers.active", active, ts=epoch + t)
+
     # -- inspection ----------------------------------------------------
 
     @property
@@ -322,61 +362,19 @@ def kernel_instant(name: str, cat: str = "kernel", **args: Any) -> None:
 def chrome_events_from_record(record: Any) -> list[dict[str, Any]]:
     """Render a :class:`~repro.runner.record.RunRecord` chunk timeline.
 
-    Produces one ``ph: "X"`` duration event per scheduled chunk (on a
-    per-worker track, named from the record's worker table) plus a
-    ``workers.active`` counter series sampled at every chunk boundary --
-    the same worker-timeline view the engine records live, but built
-    purely from a stored record, so any archived run can be opened in
-    Perfetto.  Timestamps are relative to the engine dispatch start,
-    already the convention of :class:`~repro.runner.record.ChunkTrace`.
+    The chunk spans, named worker tracks and ``workers.active`` series
+    of :meth:`Tracer.add_chunk_timeline` -- the builder the engine draws
+    a traced run's timeline with -- on a fresh tracer, so any archived
+    run can be opened in Perfetto.  Timestamps count from the execute
+    phase start, the clock of :class:`~repro.runner.record.ChunkTrace`.
     """
-    pid_of = {w.worker: w.pid for w in record.workers}
-    events: list[dict[str, Any]] = []
-    for worker in sorted(pid_of):
-        events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid_of[worker],
-                "tid": 0,
-                "args": {"name": f"worker {worker}"},
-            }
-        )
-    boundaries: list[tuple[float, int]] = []
-    for chunk in record.chunks:
-        events.append(
-            {
-                "name": f"chunk[{chunk.start}:{chunk.stop})",
-                "cat": "chunk",
-                "ph": "X",
-                "ts": chunk.begin * 1e6,
-                "dur": max(0.0, (chunk.end - chunk.begin) * 1e6),
-                "pid": pid_of.get(chunk.worker, chunk.worker),
-                "tid": 0,
-                "args": {"worker": chunk.worker, "tasks": chunk.stop - chunk.start},
-            }
-        )
-        boundaries.append((chunk.begin, +1))
-        boundaries.append((chunk.end, -1))
-    active = 0
-    pid = next(iter(pid_of.values()), 0)
-    for ts, delta in sorted(boundaries):
-        active += delta
-        events.append(
-            {
-                "name": "workers.active",
-                "ph": "C",
-                "ts": ts * 1e6,
-                "pid": pid,
-                "args": {"value": active},
-            }
-        )
-    return events
+    tracer = Tracer()
+    tracer.add_chunk_timeline(record, tracer.epoch)
+    return tracer.to_chrome()["traceEvents"]
 
 
 def export_record_trace(record: Any, path: Path | str) -> Path:
     """Write a stored record's chunk timeline as a Chrome trace file."""
-    return write_json(
-        path,
-        {"traceEvents": chrome_events_from_record(record), "displayTimeUnit": "ms"},
-    )
+    tracer = Tracer()
+    tracer.add_chunk_timeline(record, tracer.epoch)
+    return tracer.export(path)

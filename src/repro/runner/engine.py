@@ -50,9 +50,11 @@ The engine is the root publisher of the :mod:`repro.obs` layer:
 * With a :class:`~repro.obs.trace.Tracer` attached it emits nested
   spans for every phase (``engine.prepare`` with cache lookup/generate/
   store children, ``engine.serial_baseline``, ``engine.execute``,
-  ``engine.merge``), one ``chunk[a:b)`` span per scheduled chunk on the
-  owning worker's track, and a ``workers.active`` counter series.
-  Every chunk records kernel adapters'
+  ``engine.merge``) and draws the finished record's chunk timeline with
+  :meth:`~repro.obs.trace.Tracer.add_chunk_timeline`, the builder
+  :func:`~repro.obs.trace.chrome_events_from_record` uses: one
+  ``chunk[a:b)`` span per merged chunk on its named worker track and a
+  ``workers.active`` counter series.  Every chunk records kernel adapters'
   :func:`~repro.obs.trace.kernel_span` regions into its own buffer and
   ships it back with the chunk result, where the engine merges it at
   the shard boundary.  The tracer keeps no copy of the run's
@@ -74,8 +76,9 @@ The engine is the root publisher of the :mod:`repro.obs` layer:
   the measured speedup stays clean.
 * With ``telemetry=True`` each worker samples its own ``/proc/self``
   CPU/RSS/context-switch series during chunk execution
-  (:mod:`repro.obs.telemetry`); the engine merges series per worker,
-  embeds them in the record and publishes ``telemetry.*`` gauges.
+  (:mod:`repro.obs.telemetry`); the engine merges the series per worker
+  of the folded record, embeds them in the record and publishes
+  ``telemetry.*`` gauges.
 
 Tracing, profiling and telemetry are off by default and cost nothing
 beyond a few ``None`` checks per chunk.
@@ -120,7 +123,7 @@ from repro.obs.telemetry import (
     publish_telemetry,
     telemetry_payload,
 )
-from repro.obs.trace import Span, Tracer, activated
+from repro.obs.trace import Tracer, activated
 from repro.runner.cache import ShardCheckpoint, WorkloadCache
 from repro.runner.config import RunConfig
 from repro.runner.executors import Executor, SerialExecutor, make_executor
@@ -205,17 +208,17 @@ class EngineRun:
 
 @dataclass
 class ObsCapture:
-    """Profiling/telemetry merged from one execution's chunk payloads.
+    """What one execution leaves for its record besides the events.
 
-    ``profiles`` maps phase name to its sampled stacks; ``telemetry``
-    maps worker index to that process's resource series; ``epoch`` is
-    the absolute ``perf_counter`` reading telemetry timestamps are
-    rebased against (the execute-phase start).
+    ``payloads`` are the merged chunks in task order; ``profiles`` maps
+    phase name to its sampled stacks; ``epoch`` is the absolute
+    ``perf_counter`` reading the record's offsets and telemetry
+    timestamps count from (the execute-phase start).
     """
 
+    payloads: list[ChunkPayload]
+    epoch: float
     profiles: dict[str, StackProfile] = field(default_factory=dict)
-    telemetry: dict[int, TelemetrySeries] = field(default_factory=dict)
-    epoch: float = 0.0
 
 
 class ParallelRunner:
@@ -402,13 +405,23 @@ class ParallelRunner:
                 bench, workload, size, n_tasks, chunk_size, SerialExecutor(), True, metrics
             )
         phase_profiles.update(obs.profiles)
-        if cfg.telemetry:
-            publish_telemetry(metrics, obs.telemetry)
         profile_doc = self._profile_payload(phase_profiles)
         if profile_doc is not None:
             metrics.counter("profile.samples").inc(profile_doc["samples"])
 
         folded = fold_run(self.events.tail(start_seq - 1), obs.epoch)
+        telemetry: dict[int, TelemetrySeries] = {}
+        if cfg.telemetry:
+            # each chunk's window joins the series of its record worker
+            worker_of = {(w.host, w.pid): w.worker for w in folded["workers"]}
+            for p in obs.payloads:
+                if p.telemetry is not None:
+                    worker = worker_of[(p.host, p.pid)]
+                    series = telemetry.get(worker)
+                    telemetry[worker] = (
+                        p.telemetry if series is None else series.extend(p.telemetry)
+                    )
+            publish_telemetry(metrics, telemetry)
         self.events.emit(
             ev.RUN_FINISHED,
             kernel=bench.name,
@@ -438,7 +451,7 @@ class ParallelRunner:
             fault_tolerance=cfg.fault_tolerance(),
             profile=profile_doc,
             telemetry=(
-                telemetry_payload(obs.telemetry, cfg.telemetry_interval, obs.epoch)
+                telemetry_payload(telemetry, cfg.telemetry_interval, obs.epoch)
                 if cfg.telemetry
                 else None
             ),
@@ -450,6 +463,8 @@ class ParallelRunner:
         )
         _publish_metrics(metrics, record)
         record.metrics = metrics.as_dict()
+        if self.tracer is not None:
+            self.tracer.add_chunk_timeline(record, obs.epoch)
         return EngineRun(record=record, output=result.output, result=result)
 
     def _effective_jobs(self) -> int:
@@ -622,45 +637,14 @@ class ParallelRunner:
             metrics.publish_op_counts(instr.counts)
 
         payloads = sorted(supervised.payloads, key=lambda p: p.start)
-        # worker identity is (host, pid): pids are only unique per host;
-        # numbered in chunk-start order, as fold_run numbers the record's
-        keys: dict[tuple[str | None, int], int] = {}
-        obs = ObsCapture(epoch=t0)
+        obs = ObsCapture(payloads, epoch=t0)
         execute_profile = StackProfile(hz=cfg.profile_hz)
         for p in payloads:
-            worker = keys.setdefault((p.host, p.pid), len(keys))
-            # per-worker profiles and telemetry merge at the shard
-            # boundary, the same model as the span buffers below
+            # worker profiles and span buffers merge at the shard boundary
             if p.profile is not None:
                 execute_profile.merge(p.profile)
-            if p.telemetry is not None:
-                if worker in obs.telemetry:
-                    obs.telemetry[worker].extend(p.telemetry)
-                else:
-                    obs.telemetry[worker] = p.telemetry
-            if self.tracer is not None:
-                # merge the worker's span buffer at the shard boundary,
-                # and give the chunk itself a span on the worker's track
-                if p.spans:
-                    self.tracer.extend(p.spans)
-                self.tracer.add_span(
-                    Span(
-                        name=f"chunk[{p.start}:{p.stop})",
-                        cat="chunk",
-                        begin=p.begin,
-                        end=p.end,
-                        pid=p.pid,
-                        tid=0,
-                        args={"worker": worker, "tasks": p.stop - p.start},
-                    )
-                )
-        if self.tracer is not None and not in_process:
-            # name the worker tracks and chart their activity; an
-            # in-process run's one chunk sits on the coordinator's track
-            for (host, pid), worker in keys.items():
-                label = f"worker {worker}" + (f" @ {host}" if host else "")
-                self.tracer.name_track(pid, 0, label)
-            self._emit_worker_counter(payloads)
+            if self.tracer is not None and p.spans:
+                self.tracer.extend(p.spans)
         merge_profiler = SamplingProfiler(cfg.profile_hz) if cfg.profile else None
         merge_ctx = merge_profiler if merge_profiler is not None else nullcontext()
         with merge_ctx, self._span(
@@ -679,18 +663,3 @@ class ParallelRunner:
         if checkpoint is not None and not supervised.quarantined:
             checkpoint.clear()
         return result, elapsed, obs
-
-    def _emit_worker_counter(self, payloads: list[ChunkPayload]) -> None:
-        """``workers.active`` counter series from the chunk timings."""
-        assert self.tracer is not None
-        boundaries: list[tuple[float, int]] = []
-        for p in payloads:
-            if p.end <= p.begin:
-                continue  # resumed placeholder, no live execution window
-            boundaries.append((p.begin, +1))
-            boundaries.append((p.end, -1))
-        active = 0
-        pid = os.getpid()
-        for ts, delta in sorted(boundaries):
-            active += delta
-            self.tracer.counter("workers.active", active, ts=ts, pid=pid)

@@ -148,12 +148,13 @@ class Executor(abc.ABC):
     def shutdown(self) -> None:
         """Release every worker/connection; idempotent."""
 
-    def describe(self) -> dict[str, Any]:
+    @classmethod
+    def describe(cls) -> dict[str, Any]:
         """Introspection document for the registry CLI."""
-        doc = (type(self).__doc__ or "").strip().splitlines()
+        doc = (cls.__doc__ or "").strip().splitlines()
         return {
-            "name": self.name,
-            "capabilities": self.capabilities.as_dict(),
+            "name": cls.name,
+            "capabilities": cls.capabilities.as_dict(),
             "summary": doc[0] if doc else "",
         }
 

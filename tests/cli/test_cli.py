@@ -393,6 +393,19 @@ class TestLiveObservability:
         # every backend forwards worker events, so no per-backend column
         assert "live events" not in out
 
+    def test_runner_executors_lists_the_registered_name(self, monkeypatch, capsys):
+        from repro.runner import executors
+
+        class Aliased(executors.LocalExecutor):
+            """A pool registered under a second name."""
+
+        monkeypatch.setitem(executors._REGISTRY, "alias-pool", Aliased)
+        assert main(["runner", "executors", "--format", "json"]) == 0
+        listed = {d["name"]: d for d in json.loads(capsys.readouterr().out)["data"]}
+        # the name --executor accepts, not the inherited "local"
+        assert listed["alias-pool"]["summary"] == "A pool registered under a second name."
+        assert listed["local"]["summary"].startswith("Supervised multiprocess pool")
+
 
 @pytest.fixture
 def prepare_calls(monkeypatch):

@@ -27,11 +27,11 @@ def _narrative():
         _mk(2, 10.2, ev.CHUNK_DISPATCHED, chunk=(0, 25)),
         _mk(3, 10.3, ev.CHUNK_STARTED, level="debug", chunk=(0, 25), worker=0),
         _mk(4, 10.9, ev.CHUNK_COMPLETED, chunk=(0, 25), worker=0,
-            data={"tasks": 25}),
+            data={"tasks": 25, "seconds": 0.6}),
         _mk(5, 11.0, ev.CHUNK_RETRIED, level="warning", chunk=(25, 50),
-            worker=1, data={"kind": "exception"}),
+            worker=1, attempt=1, data={"kind": "exception"}),
         _mk(6, 11.5, ev.CHUNK_COMPLETED, chunk=(25, 50), worker=1,
-            data={"tasks": 25}),
+            data={"tasks": 25, "seconds": 0.4}),
     ]
 
 
@@ -90,20 +90,32 @@ class TestStatusFold:
             _mk(1, 0.1, ev.EXECUTE_STARTED, data={"chunks": 2, "tasks": 50}),
             _mk(2, 0.2, ev.WORKER_DIED, level="error", worker=0),
             _mk(3, 0.3, ev.WORKER_RESPAWNED, level="warning", worker=1),
-            _mk(4, 0.4, ev.CHUNK_QUARANTINED, level="error", chunk=(0, 25)),
+            _mk(4, 0.4, ev.CHUNK_QUARANTINED, level="error", chunk=(0, 25),
+                attempt=0, data={"kind": "exception"}),
             _mk(5, 0.5, ev.HOST_CONNECTED, host="h:1"),
             _mk(6, 0.6, ev.HOST_LOST, level="error", host="h:1"),
-            _mk(7, 0.7, ev.FALLBACK_SERIAL, level="warning", chunk=(25, 50)),
-            _mk(8, 0.8, ev.RUN_DEGRADED, level="error"),
+            _mk(7, 0.7, ev.FALLBACK_SERIAL, level="warning", chunk=(25, 50),
+                attempt=0, data={"kind": "worker-died"}),
+            _mk(8, 0.75, ev.CHUNK_COMPLETED, chunk=(25, 50),
+                data={"tasks": 25, "seconds": 0.05}),
         ]
         status = status_from_events(events, now=1.0)
-        assert status["state"] == "degraded"
-        assert status["degraded"] is True
         assert status["chunks"]["quarantined"] == 1
         assert status["chunks"]["done"] == 1  # the serial fallback completed it
         assert status["tasks"]["done"] == 25
         assert status["hosts"]["h:1"]["state"] == "lost"
         assert status["workers"]["0"]["state"] == "dead"
+        # a degrade reruns the whole workload as one chunk: the pool's
+        # progress and gaps give way to the rerun's
+        events.append(
+            _mk(9, 0.8, ev.RUN_DEGRADED, level="error",
+                data={"chunks": 1, "tasks": 50, "chunk_size": 50})
+        )
+        status = status_from_events(events, now=1.0)
+        assert status["state"] == "degraded"
+        assert status["degraded"] is True
+        assert status["chunks"]["quarantined"] == 0
+        assert (status["chunks"]["done"], status["chunks"]["total"]) == (0, 1)
 
     def test_degrade_restarts_progress_in_the_one_chunk_geometry(self):
         # the pool finished one chunk of four before it was lost
@@ -111,11 +123,11 @@ class TestStatusFold:
             _mk(0, 0.0, ev.RUN_STARTED, data={"kernel": "toy"}),
             _mk(1, 0.1, ev.EXECUTE_STARTED, data={"chunks": 4, "tasks": 8}),
             _mk(2, 0.2, ev.CHUNK_COMPLETED, chunk=(0, 2), worker=0,
-                data={"tasks": 2}),
+                data={"tasks": 2, "seconds": 0.1}),
             _mk(3, 0.3, ev.RUN_DEGRADED, level="error",
                 data={"chunks": 1, "tasks": 8, "chunk_size": 8}),
             _mk(4, 0.4, ev.CHUNK_COMPLETED, chunk=(0, 8), worker=0,
-                data={"tasks": 8}),
+                data={"tasks": 8, "seconds": 0.1}),
             _mk(5, 0.5, ev.RUN_FINISHED, data={"seconds": 0.4}),
         ]
         status = status_from_events(events, now=1.0)
@@ -215,7 +227,7 @@ class TestLiveServer:
         log, server = served
         log.emit(ev.RUN_STARTED, kernel="fmi", size="small", jobs=2, executor="local")
         log.emit(ev.EXECUTE_STARTED, executor="local", chunks=2, tasks=10, jobs=2)
-        log.emit(ev.CHUNK_COMPLETED, chunk=(0, 5), worker=0, tasks=5)
+        log.emit(ev.CHUNK_COMPLETED, chunk=(0, 5), worker=0, tasks=5, seconds=0.1)
         code, ctype, body = self._get(server.url + "/status")
         assert code == 200 and ctype == "application/json"
         doc = json.loads(body)

@@ -141,41 +141,65 @@ def test_tracer_is_thread_safe():
     assert len(tracer.find("t")) == 400
 
 
-def _record_with_chunks():
+def _record_with_chunks(resumed=False):
+    workers = [
+        WorkerStats(worker=0, pid=100, chunks=1, tasks=2, busy_seconds=0.1),
+        WorkerStats(worker=1, pid=101, chunks=1, tasks=2, busy_seconds=0.1),
+    ]
+    chunks = [
+        ChunkTrace(start=0, stop=2, worker=0, begin=0.0, end=0.1),
+        ChunkTrace(start=2, stop=4, worker=1, begin=0.05, end=0.2),
+    ]
+    if resumed:
+        # restored from a checkpoint by the coordinator: fold_run lands
+        # it zero-width at 0.0, with no execution window
+        workers.append(WorkerStats(worker=2, pid=99, chunks=1, tasks=2, busy_seconds=0.0))
+        chunks.append(ChunkTrace(start=4, stop=6, worker=2, begin=0.0, end=0.0))
+    n_tasks = 2 * len(chunks)
     return RunRecord(
         kernel="fmi",
         size="small",
         jobs=2,
         chunk_size=2,
-        n_tasks=4,
-        total_work=40,
-        task_work=[10, 10, 10, 10],
+        n_tasks=n_tasks,
+        total_work=10 * n_tasks,
+        task_work=[10] * n_tasks,
         prepare_seconds=0.1,
         prepare_cached=False,
         execute_seconds=0.2,
         serial_seconds=None,
-        workers=[
-            WorkerStats(worker=0, pid=100, chunks=1, tasks=2, busy_seconds=0.1),
-            WorkerStats(worker=1, pid=101, chunks=1, tasks=2, busy_seconds=0.1),
-        ],
-        chunks=[
-            ChunkTrace(start=0, stop=2, worker=0, begin=0.0, end=0.1),
-            ChunkTrace(start=2, stop=4, worker=1, begin=0.05, end=0.2),
-        ],
+        workers=workers,
+        chunks=chunks,
+        resumed_chunks=int(resumed),
     )
 
 
 def test_chunk_timeline_rendering_from_record():
-    events = chrome_events_from_record(_record_with_chunks())
-    x = [e for e in events if e["ph"] == "X"]
-    assert {e["name"] for e in x} == {"chunk[0:2)", "chunk[2:4)"}
-    assert {e["pid"] for e in x} == {100, 101}  # per-worker tracks
-    meta = [e for e in events if e["ph"] == "M"]
-    assert {e["args"]["name"] for e in meta} == {"worker 0", "worker 1"}
-    # the counter series peaks at 2 while both chunks overlap, ends at 0
-    counter_values = [e["args"]["value"] for e in events if e["ph"] == "C"]
-    assert max(counter_values) == 2
-    assert counter_values[-1] == 0
+    for record in (_record_with_chunks(), _record_with_chunks(resumed=True)):
+        events = chrome_events_from_record(record)
+        x = [e for e in events if e["ph"] == "X"]
+        assert {e["name"] for e in x} == {f"chunk[{c.start}:{c.stop})" for c in record.chunks}
+        assert {e["pid"] for e in x} == {w.pid for w in record.workers}  # per-worker tracks
+        meta = [e for e in events if e["ph"] == "M"]
+        assert {e["args"]["name"] for e in meta} == {f"worker {w.worker}" for w in record.workers}
+        # the counter series peaks at 2 while both chunks overlap, never
+        # dips below 0 (a resumed chunk has no window), ends at 0
+        counter_values = [e["args"]["value"] for e in events if e["ph"] == "C"]
+        assert max(counter_values) == 2
+        assert min(counter_values) >= 0
+        assert counter_values[-1] == 0
+
+
+def test_degraded_record_names_no_worker_track():
+    # the coordinator reran the whole workload as one chunk on its own track
+    record = _record_with_chunks()
+    record.degraded = True
+    record.workers = [WorkerStats(worker=0, pid=99, chunks=1, tasks=4, busy_seconds=0.2)]
+    record.chunks = [ChunkTrace(start=0, stop=4, worker=0, begin=0.0, end=0.2)]
+    events = chrome_events_from_record(record)
+    assert [(e["name"], e["pid"]) for e in events if e["ph"] == "X"] == [("chunk[0:4)", 99)]
+    assert not [e for e in events if e["ph"] == "M"]
+    assert [e["args"]["value"] for e in events if e["ph"] == "C"] == [1, 0]
 
 
 def test_export_record_trace(tmp_path):

@@ -17,6 +17,7 @@ from repro.core.datasets import DatasetSize
 from repro.obs import events as ev
 from repro.obs.events import Event, EventLog
 from repro.obs.live import status_from_events
+from repro.obs.trace import Tracer, chrome_events_from_record
 from repro.runner import FaultPlan, ParallelRunner, WorkloadCache
 from repro.runner.record import FAILURE_ACTIONS, SCHEMA
 
@@ -248,6 +249,55 @@ class TestRecordAgreesWithEvents:
         assert status["chunks"]["done"] == len(rec.chunks)
         assert status["retries"] == rec.retries
         assert status["chunks"]["quarantined"] == len(rec.quarantined)
+
+
+#: Traced runs: the jobs=1 fast path, a pool retry, a chunked serial
+#: backend and a rerun over a checkpoint.
+TRACED = {
+    "jobs1": dict(jobs=1),
+    "retry": dict(jobs=2, chunk_size=2, retries=1, fault_plan=FaultPlan.parse("raise@1")),
+    "serial-executor": dict(jobs=2, chunk_size=2, executor="serial"),
+    "resume": dict(jobs=2, chunk_size=2, resume=True),
+}
+
+
+class TestTraceAgreesWithRecord:
+    @pytest.mark.parametrize("scenario", list(TRACED))
+    def test_chunk_timeline_is_the_records(self, toy, tmp_path, scenario):
+        bench, workload = toy
+        knobs = dict(TRACED[scenario])
+        if scenario == "resume":
+            knobs["cache"] = WorkloadCache(tmp_path)
+            _run(
+                bench, workload, on_failure="quarantine",
+                fault_plan=FaultPlan.parse("raise@1x9"), **knobs,
+            )
+        tracer, log = Tracer(), EventLog()
+        rec = _run(bench, workload, tracer=tracer, events=log, **knobs).record
+        # the execute-phase start: an executed chunk's trace ends at the
+        # stamp of its chunk_completed
+        done = next(e for e in log.find(ev.CHUNK_COMPLETED) if not e.data.get("resumed"))
+        epoch = done.ts - next(c.end for c in rec.chunks if (c.start, c.stop) == done.chunk)
+
+        spans = sorted((s for s in tracer.spans if s.cat == "chunk"), key=lambda s: s.name)
+        stored = sorted(
+            (e for e in chrome_events_from_record(rec) if e["ph"] == "X"),
+            key=lambda e: e["name"],
+        )
+        assert [(s.name, s.pid, s.args) for s in spans] == [
+            (e["name"], e["pid"], e["args"]) for e in stored
+        ]
+        for s, e in zip(spans, stored):
+            assert s.begin - epoch == pytest.approx(e["ts"] / 1e6, abs=1e-6)
+            assert s.end - epoch == pytest.approx((e["ts"] + e["dur"]) / 1e6, abs=1e-6)
+
+        # every run, the in-process one included, names its worker
+        # tracks and charts their activity
+        doc = tracer.to_chrome()["traceEvents"]
+        named = {e["pid"] for e in doc if e["ph"] == "M"}
+        active = [e["args"]["value"] for e in doc if e["name"] == "workers.active"]
+        assert named == {w.pid for w in rec.workers}
+        assert active and min(active) >= 0 and active[-1] == 0
 
 
 class TestSharedLogSlicing:
