@@ -14,6 +14,12 @@ updates than the scalar code on BWA-MEM seed-extension inputs.
 :class:`BatchedSW` executes the lockstep loop with numpy lanes and
 reports both the useful (per-pair) and the SIMD (padded lane-group)
 cell-update counts, grouped by the modelled SIMD width.
+
+The numpy engine evaluates a whole band row of every lane at once rather
+than cell by cell: the diagonal and ``F`` terms have no in-row
+dependency, and ``E`` is a max-plus prefix scan.  Only the evaluation
+order differs from the modelled engine's; scores, end cells, the SIMD
+cell accounting, op counts and the traced row sweeps are its own.
 """
 
 from __future__ import annotations
@@ -78,13 +84,9 @@ class BatchedSW:
         """Cells inside the band of an ``m x n`` problem."""
         if self.band is None:
             return m * n
-        total = 0
-        for i in range(1, m + 1):
-            lo = max(1, i - self.band)
-            hi = min(n, i + self.band)
-            if hi >= lo:
-                total += hi - lo + 1
-        return total
+        i = np.arange(1, m + 1)
+        widths = np.minimum(n, i + self.band) - np.maximum(1, i - self.band) + 1
+        return int(widths[widths > 0].sum())
 
     def _banded_steps(self, m: int, n: int) -> int:
         """Lockstep ``(i, j)`` iterations for a padded ``m x n`` group."""
@@ -144,10 +146,22 @@ class BatchedSW:
         for b, (q, t) in enumerate(pairs):
             q_pad[b, : len(q)] = encode(q)
             t_pad[b, : len(t)] = encode(t)
-        sub = self.scheme.matrix().astype(np.int64)
+        # per-lane target profile: profile[b, c, j] = s(c, t_b[j]), so a
+        # row's scores are one contiguous slice per lane
+        profile = np.ascontiguousarray(np.moveaxis(self.scheme.matrix()[:, t_pad], 0, 1))
+        del t_pad
         go, ge = self.scheme.gap_open, self.scheme.gap_extend
-        h_prev = np.zeros((B, n_max + 1), dtype=np.int64)
-        f_prev = np.full((B, n_max + 1), _NEG, dtype=np.int64)
+        # ``ge * j``: the E scan runs in gap-extend-shifted coordinates
+        ramp = ge * np.arange(n_max + 2, dtype=np.int64)
+        # a lane's cells past its own target are padding, never its best
+        in_target = np.arange(n_max + 1) <= tlens[:, None]
+        lanes = np.arange(B)
+        # The previous row's band, from column plo on, framed by the cells
+        # just outside it (H = 0, F = -inf): the next band reads at most
+        # one column past either edge.  Row 0 spans every column.
+        plo = 1
+        h_prev = np.zeros((B, n_max + 2), dtype=np.int64)
+        f_prev = np.full((B, n_max + 2), _NEG, dtype=np.int64)
         best = np.zeros(B, dtype=np.int64)
         best_i = np.zeros(B, dtype=np.int64)
         best_j = np.zeros(B, dtype=np.int64)
@@ -155,28 +169,46 @@ class BatchedSW:
             lo = max(1, i - self.band) if self.band else 1
             hi = min(n_max, i + self.band) if self.band else n_max
             if lo > hi:
-                continue
-            h_cur = np.zeros((B, n_max + 1), dtype=np.int64)
-            f_cur = np.full((B, n_max + 1), _NEG, dtype=np.int64)
-            e = np.full(B, _NEG, dtype=np.int64)
-            qi = q_pad[:, i - 1]
-            row_valid = i <= qlens
-            for j in range(lo, hi + 1):
-                s = sub[qi, t_pad[:, j - 1]]
-                e = np.maximum(e - ge, h_cur[:, j - 1] - go - ge)
-                f = np.maximum(f_prev[:, j] - ge, h_prev[:, j] - go - ge)
-                h = np.maximum(np.maximum(h_prev[:, j - 1] + s, e), f)
-                np.maximum(h, 0, out=h)
-                h_cur[:, j] = h
-                f_cur[:, j] = f
-                improved = (h > best) & row_valid & (j <= tlens)
-                if improved.any():
-                    best = np.where(improved, h, best)
-                    best_i = np.where(improved, i, best_i)
-                    best_j = np.where(improved, j, best_j)
+                break  # the band has left the matrix; so has every later row
+            w = hi - lo + 1
+            off = lo - plo  # column lo - 1 in the previous row's frame
+            h_diag = h_prev[:, off : off + w]
+            h_up = h_prev[:, off + 1 : off + 1 + w]
+            f_up = f_prev[:, off + 1 : off + 1 + w]
+            h_cur = np.empty((B, w + 2), dtype=np.int64)
+            f_cur = np.empty((B, w + 2), dtype=np.int64)
+            h_cur[:, 0] = h_cur[:, -1] = 0
+            f_cur[:, 0] = f_cur[:, -1] = _NEG
+            h = h_cur[:, 1:-1]
+            f = f_cur[:, 1:-1]
+            # F and the diagonal have no in-row dependency
+            np.maximum(f_up - ge, h_up - (go + ge), out=f)
+            np.add(h_diag, profile[lanes, q_pad[:, i - 1], lo - 1 : hi], out=h)
+            np.maximum(h, f, out=h)
+            np.maximum(h, 0, out=h)
+            # E[j] = max(E[j-1], H[j-1] - go) - ge unrolls to
+            # max_{k<j} H[k] - go - ge*(j-k) from H[lo-1] = 0.  An E-opened
+            # H[k] never beats extending E[k] itself (go >= 0), so H without
+            # E feeds the max-plus prefix scan.
+            e = np.empty((B, w), dtype=np.int64)
+            e[:, 0] = ramp[lo - 1] - go
+            np.add(h[:, :-1], ramp[lo:hi] - go, out=e[:, 1:])
+            np.maximum.accumulate(e, axis=1, out=e)
+            e -= ramp[lo : hi + 1]
+            np.maximum(h, e, out=h)
+            # first cell of the row to beat a lane's running best, as a
+            # cell-by-cell strict ``>`` update would keep
+            cand = np.where(in_target[:, lo : hi + 1], h, 0)
+            arg = cand.argmax(axis=1)
+            row_best = cand[lanes, arg]
+            improved = (row_best > best) & (i <= qlens)
+            if improved.any():
+                best = np.where(improved, row_best, best)
+                best_i = np.where(improved, i, best_i)
+                best_j = np.where(improved, lo + arg, best_j)
             if instr is not None and instr.trace is not None:
                 self._trace_row(instr, B, n_max, i)
-            h_prev, f_prev = h_cur, f_cur
+            h_prev, f_prev, plo = h_cur, f_cur, lo
         return [
             AlignmentResult(
                 score=int(best[b]),

@@ -90,8 +90,8 @@ class BiFMIndex:
         new_lo_primary = int(primary.C[c]) + occ_lo[c]
         new_lo_other = bi_lo_other + cnt_end + sum(sizes[:c])
         if instr is not None:
-            instr.counts.add("scalar_int", 12)
-            instr.counts.add("branch", 1)
+            instr.counts.scalar_int += 12
+            instr.counts.branch += 1
         return new_lo_primary, new_lo_other, sizes[c]
 
     def extend_backward(

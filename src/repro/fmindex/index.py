@@ -99,11 +99,13 @@ class FMIndex:
         # the 64-byte checkpoint line is consumed in 8-byte pieces, with
         # masked popcounts and interval arithmetic around it -- the
         # per-lookup dynamic-instruction footprint of BWA-MEM2's bwt_occ4
-        instr.counts.add("load", 12)
-        instr.counts.add("scalar_int", 50)
-        instr.counts.add("branch", 8)
-        instr.counts.add("store", 2)
-        instr.counts.add("other", 2)
+        # (slot arithmetic, not ``add()``: this runs on every lookup)
+        counts = instr.counts
+        counts.load += 12
+        counts.scalar_int += 50
+        counts.branch += 8
+        counts.store += 2
+        counts.other += 2
         if instr.trace is not None:
             occ_region, _ = self._regions(instr)
             n_lines = occ_region.size // 64

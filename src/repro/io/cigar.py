@@ -29,31 +29,15 @@ class CigarOp(enum.Enum):
     EQUAL = "="  # sequence match
     DIFF = "X"  # sequence mismatch
 
-    @property
-    def consumes_query(self) -> bool:
-        """True when the operation advances through the read."""
-        return self in _CONSUMES_QUERY
+    def __init__(self, code: str) -> None:
+        # plain attributes, not properties: span sums read them per op
+        #: True when the operation advances through the read.
+        self.consumes_query = code in "MIS=X"
+        #: True when the operation advances along the reference.
+        self.consumes_reference = code in "MDN=X"
+        #: The op's integer code in BAM records (its place in this enum).
+        self.bam_code = "MIDNSHP=X".index(code)
 
-    @property
-    def consumes_reference(self) -> bool:
-        """True when the operation advances along the reference."""
-        return self in _CONSUMES_REF
-
-
-_CONSUMES_QUERY = {
-    CigarOp.MATCH,
-    CigarOp.INS,
-    CigarOp.SOFT_CLIP,
-    CigarOp.EQUAL,
-    CigarOp.DIFF,
-}
-_CONSUMES_REF = {
-    CigarOp.MATCH,
-    CigarOp.DEL,
-    CigarOp.REF_SKIP,
-    CigarOp.EQUAL,
-    CigarOp.DIFF,
-}
 
 _CIGAR_RE = re.compile(r"(\d+)([MIDNSHP=X])")
 
@@ -140,6 +124,10 @@ class Cigar:
                 query += length
 
 
+#: The CIGAR op of each symbol a truth-operation stream expands to.
+_TRUTH_SYMBOLS = (CigarOp.MATCH, CigarOp.INS, CigarOp.DEL)
+
+
 def cigar_from_truth_ops(ops: np.ndarray, reverse: bool = False) -> Cigar:
     """Build the ground-truth CIGAR from simulator error operations.
 
@@ -148,24 +136,19 @@ def cigar_from_truth_ops(ops: np.ndarray, reverse: bool = False) -> Cigar:
     3=deletion), in read orientation.  With ``reverse`` the CIGAR is
     flipped into reference orientation for reverse-strand reads.
     """
-    parts: list[tuple[CigarOp, int]] = []
-
-    def push(op: CigarOp, length: int = 1) -> None:
-        if parts and parts[-1][0] is op:
-            parts[-1] = (op, parts[-1][1] + length)
-        else:
-            parts.append((op, length))
-
-    for op_code in np.asarray(ops):
-        code = int(op_code)
-        if code in (0, 1):  # match or substitution: both are M
-            push(CigarOp.MATCH)
-        elif code == 2:  # base emitted, then an inserted base
-            push(CigarOp.MATCH)
-            push(CigarOp.INS)
-        elif code == 3:
-            push(CigarOp.DEL)
-        else:
-            raise ValueError(f"unknown truth operation code {code}")
-    cigar = Cigar(parts)
+    codes = np.asarray(ops).astype(np.int64)
+    unknown = np.flatnonzero((codes < 0) | (codes > 3))
+    if unknown.size:
+        raise ValueError(f"unknown truth operation code {int(codes[unknown[0]])}")
+    # each code emits one symbol (0, 1: M; 3: D), code 2 two (M then I)
+    emits = 1 + (codes == 2)
+    first = np.cumsum(emits) - emits
+    symbols = np.zeros(int(emits.sum()), dtype=np.int8)  # index into _TRUTH_SYMBOLS
+    symbols[first[codes == 2] + 1] = 1
+    symbols[first[codes == 3]] = 2
+    # run-length encode the symbol stream: one CIGAR op per run
+    starts = np.flatnonzero(np.diff(symbols, prepend=-1))
+    lengths = np.diff(starts, append=symbols.size)
+    run_ops = [_TRUTH_SYMBOLS[s] for s in symbols[starts].tolist()]
+    cigar = Cigar(zip(run_ops, lengths.tolist()))
     return cigar.reversed() if reverse else cigar

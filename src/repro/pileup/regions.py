@@ -23,12 +23,13 @@ def reads_by_region(
     Returns ``(region, overlapping_records)`` pairs covering the contig.
     """
     regions = partition_genome(contig, contig_length, region_size)
-    out: list[tuple[GenomicRegion, list[AlignmentRecord]]] = []
-    for region in regions:
-        hits = [
-            rec
-            for rec in records
-            if rec.rname == contig and not rec.is_unmapped and rec.overlaps(region)
-        ]
-        out.append((region, hits))
-    return out
+    # each record's reference span, computed once rather than per region
+    spans = [
+        (rec, rec.region())
+        for rec in records
+        if rec.rname == contig and not rec.is_unmapped
+    ]
+    return [
+        (region, [rec for rec, span in spans if span.overlaps(region)])
+        for region in regions
+    ]

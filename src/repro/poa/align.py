@@ -65,25 +65,37 @@ class GraphAligner:
         n = len(q)
         g = self.gap
         order = graph.topological_order()
-        idx = np.arange(n + 1, dtype=np.int64)
-        virtual_row = idx * g  # leading insertions are penalized
+        gap_ramp = np.arange(n + 1, dtype=np.int64) * g
+        virtual_row = gap_ramp  # leading insertions are penalized
         rows: dict[int, np.ndarray] = {VIRTUAL: virtual_row}
         cells = 0
         base_codes = encode("".join(graph.bases))
+        # Per read, not per node: the four match rows, and for each base
+        # the candidates from the virtual source (a free start at every
+        # node: its diagonal and its deletion).
+        match_rows = np.where(q == np.arange(4)[:, None], self.match, self.mismatch)
+        start_rows = np.empty((4, n + 1), dtype=np.int64)
+        start_rows[:, 0] = _NEG
+        np.add(virtual_row[:-1], match_rows, out=start_rows[:, 1:])
+        np.maximum(start_rows, virtual_row + g, out=start_rows)
         for v in order:
-            sv = np.where(q == base_codes[v], self.match, self.mismatch)
-            preds = list(graph.in_edges[v]) or [VIRTUAL]
-            if VIRTUAL not in preds:
-                preds.append(VIRTUAL)  # free start at any node
-            cand = np.full(n + 1, _NEG, dtype=np.int64)
-            for u in preds:
-                hu = rows[u]
-                np.maximum(cand[1:], hu[:-1] + sv, out=cand[1:])  # diagonal
+            code = base_codes[v]
+            cand = start_rows[code].copy()
+            preds = graph.in_edges[v]
+            if preds:
+                # the row maxima of the real predecessors feed both moves
+                it = iter(preds)
+                hu = rows[next(it)]
+                for u in it:
+                    hu = np.maximum(hu, rows[u])
+                np.maximum(cand[1:], hu[:-1] + match_rows[code], out=cand[1:])  # diagonal
                 np.maximum(cand, hu + g, out=cand)  # deletion
             # insertion chain H[j] = max(cand[j], H[j-1] + g): prefix scan
-            shifted = np.maximum.accumulate(cand - idx * g) + idx * g
-            rows[v] = shifted
-            cells += (2 * len(graph.in_edges[v]) + 1) * n
+            cand -= gap_ramp
+            np.maximum.accumulate(cand, out=cand)
+            cand += gap_ramp
+            rows[v] = cand
+            cells += (2 * len(preds) + 1) * n
         end_nodes = [v for v in order]
         best_v = max(end_nodes, key=lambda v: rows[v][n])
         score = int(rows[best_v][n])

@@ -6,11 +6,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.align.batched import BatchedSW, BatchStats
-from repro.align.benchmark import make_extension_pairs
+from repro.align.benchmark import BswBenchmark, make_extension_pairs
 from repro.align.pairwise import sw_scalar
+from repro.align.scoring import ScoringScheme
+from repro.core.datasets import DatasetSize
 from repro.core.instrument import Instrumentation
 
 dna = st.text(alphabet="ACGT", min_size=2, max_size=40)
+
+#: Schemes that stress the E prefix scan: a free gap open (E extends
+#: and opens at the same cost) and free mismatches (many ties).
+schemes = st.sampled_from(
+    [
+        ScoringScheme(),
+        ScoringScheme(gap_open=0),
+        ScoringScheme(mismatch=0),
+        ScoringScheme(match=2, mismatch=0, gap_open=0, gap_extend=3),
+        ScoringScheme(match=3, mismatch=1, gap_open=2, gap_extend=1),
+    ]
+)
+
+
+def scalar_fields(q, t, scheme, band):
+    ref = sw_scalar(q, t, scheme=scheme, band=band)
+    return ref.score, ref.query_end, ref.target_end, ref.cells
 
 
 class TestCorrectness:
@@ -37,6 +56,44 @@ class TestCorrectness:
     def test_empty_batch(self):
         results, stats = BatchedSW().align_batch([])
         assert results == [] and stats.simd_cells == 0
+
+
+class TestScalarEquivalence:
+    """The whole-row lockstep engine against the cell-by-cell scalar one."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(dna, dna), min_size=1, max_size=12),
+        st.sampled_from([None, 1, 3, 12, 44]),
+        schemes,
+    )
+    def test_every_field_matches_scalar(self, pairs, band, scheme):
+        results, stats = BatchedSW(scheme=scheme, band=band, lanes=4).align_batch(pairs)
+        for (q, t), r in zip(pairs, results):
+            got = (r.score, r.query_end, r.target_end, r.cells)
+            assert got == scalar_fields(q, t, scheme, band)
+        assert stats.useful_cells == sum(r.cells for r in results)
+
+    @pytest.mark.parametrize("band", [None, 1, 3, 12, 44])
+    def test_extension_pairs_match_scalar(self, band):
+        # benchmark-shaped pairs: longer than the band, shared seeds
+        pairs = make_extension_pairs(24, 120, 30, seed=11)
+        scheme = ScoringScheme(gap_open=0) if band == 12 else ScoringScheme()
+        results, _ = BatchedSW(scheme=scheme, band=band).align_batch(pairs)
+        for (q, t), r in zip(pairs, results):
+            got = (r.score, r.query_end, r.target_end, r.cells)
+            assert got == scalar_fields(q, t, scheme, band)
+
+    def test_chunked_batch_equals_whole_batch(self):
+        # a pooled run shards the benchmark's batch into 63-pair chunks
+        workload = BswBenchmark().prepare(DatasetSize.SMALL)
+        engine = BatchedSW(scheme=workload.scheme, band=workload.band)
+        whole, _ = engine.align_batch(workload.pairs)
+        chunked = []
+        for k in range(0, len(workload.pairs), 63):
+            chunked += engine.align_batch(workload.pairs[k : k + 63])[0]
+        assert len(whole) == 1000
+        assert chunked == whole
 
 
 class TestStats:

@@ -115,3 +115,56 @@ class TestTruthOps:
         # query span: match/sub 1, ins 2, del 0
         expected = sum({0: 1, 1: 1, 2: 2, 3: 0}[o] for o in ops)
         assert c.query_length == expected
+
+
+def truth_ops_per_base(ops, reverse=False):
+    """Reference: the per-base ``push`` loop ``cigar_from_truth_ops`` replaced."""
+    parts = []
+
+    def push(op):
+        if parts and parts[-1][0] is op:
+            parts[-1] = (op, parts[-1][1] + 1)
+        else:
+            parts.append((op, 1))
+
+    for op_code in np.asarray(ops):
+        code = int(op_code)
+        if code in (0, 1):
+            push(CigarOp.MATCH)
+        elif code == 2:
+            push(CigarOp.MATCH)
+            push(CigarOp.INS)
+        elif code == 3:
+            push(CigarOp.DEL)
+        else:
+            raise ValueError(f"unknown truth operation code {code}")
+    cigar = Cigar(parts)
+    return cigar.reversed() if reverse else cigar
+
+
+class TestTruthOpsEquivalence:
+    @given(st.lists(st.integers(0, 3), max_size=200), st.booleans())
+    def test_matches_per_base_loop(self, ops, reverse):
+        for arr in (np.array(ops, dtype=np.uint8), np.array(ops, dtype=np.int64)):
+            got = cigar_from_truth_ops(arr, reverse=reverse)
+            want = truth_ops_per_base(arr, reverse=reverse)
+            assert list(got) == list(want)
+            assert all(type(length) is int for _, length in got)
+
+    def test_empty(self):
+        for arr in (np.array([], dtype=np.uint8), []):
+            assert list(cigar_from_truth_ops(arr)) == list(truth_ops_per_base(arr)) == []
+
+    @given(
+        st.lists(st.integers(0, 3), max_size=30),
+        st.integers(4, 255) | st.integers(-50, -1),
+        st.lists(st.integers(-9, 9), max_size=5),
+    )
+    def test_names_the_first_unknown_code(self, head, bad, tail):
+        arr = np.array(head + [bad] + tail, dtype=np.int64)
+        with pytest.raises(ValueError) as want:
+            truth_ops_per_base(arr)
+        with pytest.raises(ValueError) as got:
+            cigar_from_truth_ops(arr)
+        assert str(got.value) == str(want.value) == f"unknown truth operation code {bad}"
+
