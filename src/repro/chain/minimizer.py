@@ -70,11 +70,11 @@ def minimizers(seq: str, k: int = 15, w: int = 10) -> list[Minimizer]:
     windows = np.lib.stride_tricks.sliding_window_view(hashes, w)
     arg = np.argmin(windows, axis=1)
     picks = arg + np.arange(windows.shape[0])
-    out: list[Minimizer] = []
-    last = -1
-    for p in picks:
-        p = int(p)
-        if p != last:
-            out.append(Minimizer(value=int(hashes[p]), position=p))
-            last = p
-    return out
+    # a window that keeps the previous window's pick adds no entry
+    keep = np.ones(picks.size, dtype=bool)
+    keep[1:] = picks[1:] != picks[:-1]
+    picks = picks[keep]
+    return [
+        Minimizer(value=v, position=p)
+        for v, p in zip(hashes[picks].tolist(), picks.tolist())
+    ]

@@ -1,10 +1,16 @@
 """Suffix array and Burrows-Wheeler transform construction.
 
-The suffix array is built with prefix doubling (Manber-Myers) expressed
-in vectorized numpy -- ``O(n log^2 n)`` with small constants, which
-handles the megabase-scale synthetic references of this reproduction in
-seconds.  A terminating sentinel smaller than every base is always
-appended, as the FM-index backward search requires.
+The suffix array is built in vectorized numpy in two steps.  One sort
+ranks every suffix by its first :data:`PACKED_SYMBOLS` symbols, packed
+into one ``int64`` key.  Prefix doubling then refines only the suffixes
+still tied after that sort (Larsson & Sadakane, "Faster suffix
+sorting", TCS 2007): each round sorts the tied suffixes by the rank of
+the suffix ``h`` positions later, where a suffix's rank is the position
+of its group's head in the sorted order, and drops every suffix whose
+group has become a singleton.  In random text nearly every suffix is
+unique after the first sort, so the later rounds only sort the
+repeat-sized remainder.  A terminating sentinel smaller than every base
+is always appended, as the FM-index backward search requires.
 """
 
 from __future__ import annotations
@@ -13,6 +19,9 @@ import numpy as np
 
 #: Code used for the sentinel in the augmented text (smaller than 'A').
 SENTINEL = -1
+
+#: Symbols ranked by the first sort: 21 x 3 bits fill an ``int64``.
+PACKED_SYMBOLS = 21
 
 
 def suffix_array(codes: np.ndarray) -> np.ndarray:
@@ -29,27 +38,49 @@ def suffix_array(codes: np.ndarray) -> np.ndarray:
     if codes.size and int(codes.max()) > 3:
         raise ValueError("codes must lie in {0, 1, 2, 3}")
     n = codes.size + 1
-    # rank 0 is reserved for the sentinel; bases shift up by one
+    # symbol 0 is the sentinel (and fills past the end); bases are 1..4
+    text = np.zeros(n + PACKED_SYMBOLS - 1, dtype=np.int64)
+    text[: n - 1] = codes.astype(np.int64) + 1
+    key = np.zeros(n, dtype=np.int64)
+    for t in range(PACKED_SYMBOLS):
+        key <<= 3
+        key |= text[t : t + n]
+    order = np.argsort(key)
+    # rank[i]: where the group of suffix i (suffixes sharing its first h
+    # symbols) begins in ``order``
     rank = np.empty(n, dtype=np.int64)
-    rank[:-1] = codes.astype(np.int64) + 1
-    rank[-1] = 0
-    k = 1
-    order = np.argsort(rank, kind="stable")
-    while True:
-        key2 = np.full(n, -1, dtype=np.int64)
-        if k < n:
-            key2[: n - k] = rank[k:]
-        order = np.lexsort((key2, rank))
-        new_rank = np.empty(n, dtype=np.int64)
-        changed = np.empty(n, dtype=np.int64)
-        changed[0] = 0
-        prev, cur = order[:-1], order[1:]
-        changed[1:] = (rank[cur] != rank[prev]) | (key2[cur] != key2[prev])
-        new_rank[order] = np.cumsum(changed)
-        rank = new_rank
-        if rank[order[-1]] == n - 1:
-            return order
-        k *= 2
+    head = _group_heads(np.arange(n), key[order])
+    rank[order] = head
+    tied = _tied(head)
+    h = PACKED_SYMBOLS
+    while tied.size:
+        # a tied suffix is longer than h (a shorter one holds the unique
+        # sentinel within its first h symbols), so i + h stays in range
+        sa = order[tied]
+        key = rank[sa] * n + rank[sa + h]
+        perm = np.argsort(key)
+        sa = order[tied] = sa[perm]
+        head = _group_heads(tied, key[perm])
+        rank[sa] = head
+        tied = tied[_tied(head)]
+        h *= 2
+    return order.astype(np.int64, copy=False)
+
+
+def _group_heads(slots: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """For sorted ``keys`` at increasing ``slots`` of the order, the slot
+    where each key's run of equal keys begins."""
+    starts = np.ones(keys.size, dtype=bool)
+    starts[1:] = keys[1:] != keys[:-1]
+    return np.maximum.accumulate(np.where(starts, slots, 0))
+
+
+def _tied(head: np.ndarray) -> np.ndarray:
+    """Indices of the entries of ``head`` whose group has another member."""
+    starts = np.ones(head.size + 1, dtype=bool)
+    starts[1:-1] = head[1:] != head[:-1]
+    # a singleton group starts at its entry and again right after it
+    return np.nonzero(~(starts[:-1] & starts[1:]))[0]
 
 
 def bwt_from_sa(codes: np.ndarray, sa: np.ndarray) -> tuple[np.ndarray, int]:

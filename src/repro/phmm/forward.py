@@ -5,7 +5,11 @@
 read-haplotype pairs of a genome region in lockstep along anti-diagonals
 (wavefront intra-task parallelism, paper Fig. 2d), computing in float32
 and re-running underflowing pairs in float64 -- the same
-single-precision-with-double-rescue scheme as GATK's AVX kernel.
+single-precision-with-double-rescue scheme as GATK's AVX kernel.  Its
+state is stored as (read row, lane), so each anti-diagonal's rows are one
+contiguous slice, and each diagonal's emission priors are derived from
+the read codes against a reversed haplotype code array instead of a
+precomputed per-pair prior tensor.
 
 Recurrences (paper Section III)::
 
@@ -25,6 +29,8 @@ import numpy as np
 
 from repro.core.instrument import Instrumentation
 from repro.phmm.model import HMMParameters, emission_priors
+from repro.sequence.alphabet import encode
+from repro.sequence.quality import phred_to_prob
 
 #: Below this float32 result the engine recomputes the pair in float64.
 UNDERFLOW_THRESHOLD = 1e-28
@@ -118,68 +124,86 @@ class BatchedPairHMM:
         dtype,
         instr: Instrumentation | None,
     ) -> np.ndarray:
-        t = self.params.transitions()
+        t = {k: dtype(v) for k, v in self.params.transitions().items()}
         B = len(pairs)
         mlens = np.array([len(p[0]) for p in pairs], dtype=np.int64)
         nlens = np.array([len(p[2]) for p in pairs], dtype=np.int64)
         m_max = int(mlens.max())
         n_max = int(nlens.max())
-        priors = np.zeros((B, m_max + 1, n_max + 1), dtype=dtype)
+        shape = (m_max + 1, B)
+        # row i of lane b holds read base i - 1 and its two priors (the
+        # prior of a cell is ``hit`` where the bases agree, else ``miss``);
+        # rows past a read stay 0.  ``hap_rev`` holds each haplotype
+        # reversed and right-aligned, so the bases the cells (i, d - i)
+        # of diagonal d meet are rows ``i - d + n_max``: one slice.
+        read_codes = np.zeros(shape, dtype=np.uint8)
+        hit = np.zeros(shape, dtype=dtype)
+        miss = np.zeros(shape, dtype=dtype)
+        hap_rev = np.zeros((n_max, B), dtype=np.uint8)
         for b, (read, quals, hap) in enumerate(pairs):
-            priors[b, 1 : len(read) + 1, 1 : len(hap) + 1] = emission_priors(
-                read, quals, hap
-            )
-        size = m_max + 1
-        # state arrays indexed by read coordinate i along each anti-diagonal
-        M2 = np.zeros((B, size), dtype=dtype)
-        M1 = np.zeros((B, size), dtype=dtype)
-        I2 = np.zeros((B, size), dtype=dtype)
-        I1 = np.zeros((B, size), dtype=dtype)
-        D2 = np.zeros((B, size), dtype=dtype)
-        D1 = np.zeros((B, size), dtype=dtype)
+            if len(quals) != len(read):
+                raise ValueError("one quality per read base required")
+            m = len(read)
+            read_codes[1 : m + 1, b] = encode(read)
+            hap_rev[n_max - len(hap) :, b] = encode(hap)[::-1]
+            err = phred_to_prob(quals)
+            hit[1 : m + 1, b] = 1.0 - err
+            miss[1 : m + 1, b] = err / 3.0
+        # state arrays indexed (read row i, lane) along each anti-diagonal,
+        # three per state: diagonals d - 2, d - 1 and d live in buffers
+        # d % 3.  A cell outside a pair's rectangle never feeds one inside
+        # it, and a row a buffer never wrote reads 0 -- row 0 of M and I,
+        # and each diagonal's column-0 cell (d, 0)
+        M = [np.zeros(shape, dtype=dtype) for _ in range(3)]
+        I = [np.zeros(shape, dtype=dtype) for _ in range(3)]
+        D = [np.zeros(shape, dtype=dtype) for _ in range(3)]
         inv_n = (1.0 / nlens).astype(dtype)
         # diagonal d holds cells (i, d - i); boundary row 0 has D = 1/n
-        D2[:, 0] = inv_n  # cell (0, 0) lives on diagonal 0
-        D1[:, 0] = inv_n  # cell (0, 1) lives on diagonal 1
+        D[0][0] = inv_n  # cell (0, 0) lives on diagonal 0
+        D[1][0] = inv_n  # cell (0, 1) lives on diagonal 1
+        match = np.empty(shape, dtype=bool)
+        prior = np.empty(shape, dtype=dtype)
+        total = np.empty(shape, dtype=dtype)
+        term = np.empty(shape, dtype=dtype)
+        # the final-row cell (mlen, j), 1 <= j <= nlen, lies on diagonal mlen + j
+        first, last = mlens + 1, mlens + nlens
         acc = np.zeros(B, dtype=np.float64)
-        lanes = np.arange(B)
         cells = 0
         for d in range(2, m_max + n_max + 1):
             lo = max(1, d - n_max)
             hi = min(m_max, d - 1)
-            idx = np.arange(lo, hi + 1)
-            cells += idx.size * B
-            p = priors[:, idx, d - idx]
-            M_new = np.zeros((B, size), dtype=dtype)
-            I_new = np.zeros((B, size), dtype=dtype)
-            D_new = np.zeros((B, size), dtype=dtype)
-            M_new[:, idx] = p * (
-                t["mm"] * M2[:, idx - 1]
-                + t["im"] * I2[:, idx - 1]
-                + t["dm"] * D2[:, idx - 1]
-            )
-            # I consumes a read base: predecessor (i-1, j) sits at index
+            k = hi - lo + 1
+            cells += k * B
+            rows, above = slice(lo, hi + 1), slice(lo - 1, hi)
+            M2, M1, M0 = M[(d + 1) % 3], M[(d + 2) % 3], M[d % 3]
+            I2, I1, I0 = I[(d + 1) % 3], I[(d + 2) % 3], I[d % 3]
+            D2, D1, D0 = D[(d + 1) % 3], D[(d + 2) % 3], D[d % 3]
+            eq, p, s, u = match[:k], prior[:k], total[:k], term[:k]
+            m0, i0, d0 = M0[rows], I0[rows], D0[rows]
+            np.equal(read_codes[rows], hap_rev[lo - d + n_max : hi - d + n_max + 1], out=eq)
+            np.copyto(p, miss[rows])
+            np.copyto(p, hit[rows], where=eq)
+            # M's predecessor (i-1, j-1) sits at row i-1 on diagonal d-2
+            np.multiply(M2[above], t["mm"], out=s)
+            s += np.multiply(I2[above], t["im"], out=u)
+            s += np.multiply(D2[above], t["dm"], out=u)
+            np.multiply(p, s, out=m0)
+            # I consumes a read base: predecessor (i-1, j) sits at row
             # i-1 on diagonal d-1.  D consumes a haplotype base: its
-            # predecessor (i, j-1) keeps row index i on diagonal d-1.
-            I_new[:, idx] = t["mi"] * M1[:, idx - 1] + t["ii"] * I1[:, idx - 1]
-            D_new[:, idx] = t["md"] * M1[:, idx] + t["dd"] * D1[:, idx]
+            # predecessor (i, j-1) keeps row i on diagonal d-1.
+            np.multiply(M1[above], t["mi"], out=i0)
+            i0 += np.multiply(I1[above], t["ii"], out=u)
+            np.multiply(M1[rows], t["md"], out=d0)
+            d0 += np.multiply(D1[rows], t["dd"], out=u)
             # boundary: cell (0, d) has D = 1/n, M = I = 0
             if d <= n_max:
-                D_new[:, 0] = inv_n
-            # the diagonal-(d-2) boundary cell (0, d-2) feeds M via D2[:, -1]?
-            # handled naturally: D2[:, 0] held 1/n while d-2 <= n.
-            # accumulate final-row contributions: cell (mlen, j) on d = mlen + j
-            j_here = d - mlens
-            take = (j_here >= 1) & (j_here <= nlens)
-            if take.any():
-                rows = mlens[take]
-                acc[take] += (
-                    M_new[lanes[take], rows].astype(np.float64)
-                    + I_new[lanes[take], rows].astype(np.float64)
+                D0[0] = inv_n
+            take = np.nonzero((first <= d) & (d <= last))[0]
+            if take.size:
+                at = mlens[take]
+                acc[take] += M0[at, take].astype(np.float64) + I0[at, take].astype(
+                    np.float64
                 )
-            M2, M1 = M1, M_new
-            I2, I1 = I1, I_new
-            D2, D1 = D1, D_new
         if instr is not None:
             instr.counts.add("fp", FP_OPS_PER_CELL * cells)
             instr.counts.add("load", 6 * cells)

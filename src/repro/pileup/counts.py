@@ -83,20 +83,25 @@ def count_region(
     del_closes = [np.empty(0, dtype=np.int64)]
     ins_bins = [np.empty(0, dtype=np.int64)]  # pos * 2 + strand
     for rec in records:
-        if rec.is_unmapped or not rec.overlaps(region):
+        if rec.is_unmapped or rec.rname != region.contig:
+            continue
+        ops, op_lengths = zip(*rec.cigar)
+        kinds = np.array([op.bam_code for op in ops])
+        lengths = np.array(op_lengths, dtype=np.int64)
+        ref_steps = np.where(_ADVANCES_REF[kinds], lengths, 0)
+        ref_ends = rec.pos + np.cumsum(ref_steps)
+        # the record's reference span [pos, ref_ends[-1]) must share a
+        # base with the region (a CIGAR consuming no reference shares none)
+        if max(rec.pos, start) >= min(int(ref_ends[-1]), end):
             continue
         pile.n_records += 1
         strand = 1 if rec.is_reverse else 0
         codes = encode(rec.seq, allow_n=True)
         if instr is not None:
             _account_record(instr, rec)
-        ops, op_lengths = zip(*rec.cigar)
-        kinds = np.array([op.bam_code for op in ops])
-        lengths = np.array(op_lengths, dtype=np.int64)
         # where each op begins, on the reference and in the read
-        ref_steps = np.where(_ADVANCES_REF[kinds], lengths, 0)
+        ref_at = ref_ends - ref_steps
         query_steps = np.where(_ADVANCES_QUERY[kinds], lengths, 0)
-        ref_at = rec.pos + np.cumsum(ref_steps) - ref_steps
         query_at = np.cumsum(query_steps) - query_steps
         # each op's reference span, clipped to the region
         lo = np.maximum(ref_at, start)

@@ -8,10 +8,11 @@ fill exactly the same matrices.
 import numpy as np
 import pytest
 
+from repro.core.instrument import Instrumentation, OpCounts
 from repro.io.cigar import Cigar, CigarOp
 from repro.io.regions import GenomicRegion
 from repro.io.sam import FLAG_REVERSE, FLAG_UNMAPPED, AlignmentRecord, simulate_alignments
-from repro.pileup.counts import PileupCounts, count_region
+from repro.pileup.counts import PileupCounts, _account_record, count_region
 from repro.pileup.regions import reads_by_region
 from repro.sequence.alphabet import encode
 from repro.sequence.simulate import LongReadSimulator, random_genome
@@ -94,6 +95,16 @@ HAND_BUILT = [
     record(12, "4M", "ACGT", contig="other"),
     record(40, "4M", "ACGT"),
     record(0, "10M", "ACGTACGTAC"),
+    # ignored at the half-open edges: ends exactly at region.start (a
+    # trailing deletion included), starts exactly at region.end
+    record(4, "2M4D", "AC"),
+    record(30, "3M2I1M", "ACGTAC"),
+    # ignored although they span the region: another contig, unmapped
+    record(5, "2S20M", "GG" + "ACGTA" * 4, contig="other"),
+    record(5, "20M", "ACGTA" * 4, flag=FLAG_UNMAPPED | FLAG_REVERSE),
+    # counted: one base past either edge
+    record(7, "4M", "ACGT"),
+    record(29, "1M3D2M", "ACG", flag=FLAG_REVERSE),
 ]
 
 
@@ -115,6 +126,23 @@ class TestHandBuilt:
 
     def test_no_records(self):
         assert_same_pileup(count_region([], REGION), count_region_per_op([], REGION))
+
+    def test_records_outside_the_region_are_not_fetched(self):
+        # the overlap test runs before a record is counted or accounted
+        outside = HAND_BUILT[9:-2]
+        instr = Instrumentation(counts=OpCounts())
+        pile = count_region(outside, REGION, instr=instr)
+        assert pile.n_records == 0
+        assert instr.counts.total == 0
+        assert count_region(HAND_BUILT[-2:], REGION).n_records == 2
+
+    def test_op_counts_match_per_record_accounting(self):
+        instr, want = Instrumentation(counts=OpCounts()), Instrumentation(counts=OpCounts())
+        count_region(HAND_BUILT, REGION, instr=instr)
+        for rec in HAND_BUILT:
+            if not rec.is_unmapped and rec.overlaps(REGION):
+                _account_record(want, rec)
+        assert instr.counts == want.counts
 
 
 class TestSimulated:
