@@ -456,12 +456,14 @@ def _timeline_svg(record: RunRecord) -> str:
     ``<title>`` tooltips carry the per-chunk detail on hover.  Below
     the worker tracks, an annotation lane marks the run's info+
     structured events (retries, quarantines, lost hosts, ...) on the
-    same time axis.
+    same time axis.  Chunks restored from a checkpoint ran in an earlier
+    run and have no track.
     """
-    if not record.chunks:
+    executed = [c for c in record.chunks if c.worker is not None]
+    if not executed:
         return '<p class="note">no chunk trace recorded</p>'
-    span = max((c.end for c in record.chunks), default=0.0) or 1.0
-    n_workers = max(c.worker for c in record.chunks) + 1
+    span = max(c.end for c in executed) or 1.0
+    n_workers = max(c.worker for c in executed) + 1
     width, row_h, left = 1040, 22, 70
     lane = _event_lane(record, span, left, 1040 - left - 8, n_workers * row_h)
     lane_h = row_h if lane else 0
@@ -480,7 +482,7 @@ def _timeline_svg(record: RunRecord) -> str:
         )
     for cls, palette in (("light-only", _SERIES_LIGHT), ("dark-only", _SERIES_DARK)):
         parts.append(f'<g class="{cls}">')
-        for c in record.chunks:
+        for c in executed:
             color = palette[c.worker] if c.worker < len(palette) else "var(--hairline)"
             x = left + c.begin / span * plot_w
             bw = max(1.0, (c.end - c.begin) / span * plot_w)

@@ -186,16 +186,19 @@ class Tracer:
         """Draw a :class:`~repro.runner.record.RunRecord`'s chunk timeline.
 
         ``epoch`` is the ``perf_counter`` reading the record's chunk
-        offsets count from (the execute-phase start).  Every chunk is one
-        ``chunk[a:b)`` span on its worker's ``(pid, 0)`` track, named
-        ``worker N[ @ host]`` unless the run degraded; a
-        ``workers.active`` series on this process's track follows the
-        chunks that have an execution window (a resumed chunk lands
-        zero-width at 0.0).
+        offsets count from (the execute-phase start).  Every chunk a
+        worker executed is one ``chunk[a:b)`` span on its worker's
+        ``(pid, 0)`` track, named ``worker N[ @ host]`` unless the run
+        degraded; a ``workers.active`` series on this process's track
+        follows the chunks that have an execution window.  A chunk
+        restored from a checkpoint (``worker`` ``None``) ran in an
+        earlier run and is not drawn.
         """
         pid_of = {w.worker: w.pid for w in record.workers}
         boundaries: list[tuple[float, int]] = []
         for c in record.chunks:
+            if c.worker is None:
+                continue
             self.add_span(
                 Span(
                     name=f"chunk[{c.start}:{c.stop})",
@@ -247,7 +250,9 @@ class Tracer:
 
         Each of ``events`` (a run's event log) becomes a ``ph: "i"``
         marker named after the event, on track 0 of the process that
-        produced it, with the event's fields as ``args``.
+        produced it (this one for an event without a pid, such as a
+        restored chunk's ``chunk_completed``), with the event's fields
+        as ``args``.
         """
         with self._lock:
             spans = list(self._spans)
@@ -301,7 +306,7 @@ class Tracer:
                     "ph": "i",
                     "s": "t",
                     "ts": self._us(e.ts),
-                    "pid": e.pid,
+                    "pid": os.getpid() if e.pid is None else e.pid,
                     "tid": 0,
                     "args": doc,
                 }

@@ -593,7 +593,8 @@ class ParallelRunner:
                 self.events.emit(ev.RUN_RESUMED, chunks=len(preloaded))
                 for chunk in sorted(preloaded):
                     # checkpointed shards count as completed in the live
-                    # status fold without ever being dispatched
+                    # status fold without ever being dispatched; no
+                    # process of this run executed them, so no pid
                     self.events.emit(
                         ev.CHUNK_COMPLETED,
                         "debug",
@@ -601,6 +602,7 @@ class ParallelRunner:
                         tasks=chunk[1] - chunk[0],
                         seconds=0.0,
                         resumed=True,
+                        pid=None,
                     )
 
         # the on_failure="serial" fallback runs in this process, unfaulted

@@ -85,10 +85,12 @@ class ChunkTrace:
 
     ``start``/``stop`` delimit the half-open task-index range; ``begin``
     and ``end`` are wall-clock offsets (seconds) from the moment the
-    engine started dispatching, comparable across workers.
+    engine started dispatching, comparable across workers.  A chunk
+    restored from a ``run --resume`` checkpoint ran in an earlier run:
+    its ``worker`` is ``None`` and it lands zero-width at 0.0.
     """
 
-    worker: int
+    worker: int | None
     start: int
     stop: int
     begin: float
@@ -159,9 +161,12 @@ def fold_run(events: Iterable[ev.Event], epoch: float) -> dict[str, Any]:
     Each failure event (:data:`FAILURE_ACTIONS`) is one
     :class:`FailureEvent`; ``chunk_retried`` names the *next* attempt.
     Each merged chunk has one ``chunk_completed``, stamped at the merged
-    copy's end with its ``pid``, ``host`` and busy ``seconds`` (resumed
-    chunks land zero-width at 0.0); workers are numbered by the first
-    appearance of their ``(host, pid)`` in chunk-start order.  Failures
+    copy's end with its ``pid``, ``host`` and busy ``seconds``; workers
+    are numbered by the first appearance of their ``(host, pid)`` in
+    chunk-start order.  A chunk restored from a checkpoint (``resumed``)
+    was executed by no process of this run: it counts in ``chunks`` and
+    ``resumed_chunks`` with ``worker`` ``None`` and no
+    :class:`WorkerStats`, zero-width at 0.0.  Failures
     count across the slice; chunks, workers, gaps and resumed chunks
     restart at a ``run_degraded``, whose one-chunk rerun replaces them.
     """
@@ -197,6 +202,9 @@ def fold_run(events: Iterable[ev.Event], epoch: float) -> dict[str, Any]:
     workers: dict[tuple[str | None, int | None], WorkerStats] = {}
     for e in sorted(merged, key=lambda e: e.chunk):
         (start, stop), seconds = e.chunk, e.data["seconds"]
+        if e.data.get("resumed"):
+            chunks.append(ChunkTrace(None, start, stop, 0.0, 0.0))
+            continue
         stats = workers.get((e.host, e.pid))
         if stats is None:
             stats = workers[(e.host, e.pid)] = WorkerStats(
@@ -214,7 +222,7 @@ def fold_run(events: Iterable[ev.Event], epoch: float) -> dict[str, Any]:
         "failures": failures,
         "retries": sum(f.action == "retry" for f in failures),
         "quarantined": sorted(quarantined),
-        "resumed_chunks": sum(bool(e.data.get("resumed")) for e in merged),
+        "resumed_chunks": sum(c.worker is None for c in chunks),
         "degraded": degraded,
         "hosts": sorted({w.host for w in workers.values() if w.host}),
     }

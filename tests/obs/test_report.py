@@ -162,6 +162,17 @@ class TestRenderReport:
         assert "chunk [0:2) on worker 0" in html
         assert "worker 1" in html
 
+    def test_resumed_chunks_have_no_track(self):
+        # restored from a checkpoint: no worker, no WorkerStats
+        restored = ChunkTrace(worker=None, start=4, stop=6, begin=0.0, end=0.0)
+        rec = _record(n_tasks=6, resumed_chunks=1)
+        rec.chunks.append(restored)
+        html = render_report(rec)
+        assert "chunk [0:2) on worker 0" in html
+        assert "chunk [4:6)" not in html and "worker 2" not in html
+        rec.chunks, rec.workers = [restored], []
+        assert "no chunk trace recorded" in render_report(rec)
+
     def test_history_trend_needs_two_matching_runs(self):
         rec = _record()
         html = render_report(rec, history=[rec])

@@ -151,10 +151,9 @@ def _record_with_chunks(resumed=False):
         ChunkTrace(start=2, stop=4, worker=1, begin=0.05, end=0.2),
     ]
     if resumed:
-        # restored from a checkpoint by the coordinator: fold_run lands
-        # it zero-width at 0.0, with no execution window
-        workers.append(WorkerStats(worker=2, pid=99, chunks=1, tasks=2, busy_seconds=0.0))
-        chunks.append(ChunkTrace(start=4, stop=6, worker=2, begin=0.0, end=0.0))
+        # restored from a checkpoint: fold_run lands it zero-width at 0.0
+        # with no worker and no WorkerStats
+        chunks.append(ChunkTrace(start=4, stop=6, worker=None, begin=0.0, end=0.0))
     n_tasks = 2 * len(chunks)
     return RunRecord(
         kernel="fmi",
@@ -178,7 +177,8 @@ def test_chunk_timeline_rendering_from_record():
     for record in (_record_with_chunks(), _record_with_chunks(resumed=True)):
         events = chrome_events_from_record(record)
         x = [e for e in events if e["ph"] == "X"]
-        assert {e["name"] for e in x} == {f"chunk[{c.start}:{c.stop})" for c in record.chunks}
+        # a resumed chunk ran in an earlier run: it is not drawn
+        assert {e["name"] for e in x} == {"chunk[0:2)", "chunk[2:4)"}
         assert {e["pid"] for e in x} == {w.pid for w in record.workers}  # per-worker tracks
         meta = [e for e in events if e["ph"] == "M"]
         assert {e["args"]["name"] for e in meta} == {f"worker {w.worker}" for w in record.workers}

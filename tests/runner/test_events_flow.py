@@ -251,6 +251,39 @@ class TestRecordAgreesWithEvents:
         assert status["chunks"]["quarantined"] == len(rec.quarantined)
 
 
+class TestResumedChunks:
+    def test_restored_chunks_are_no_workers_work(self, toy, tmp_path):
+        bench, workload = toy
+        knobs = dict(AGREEMENT["resume"], cache=WorkloadCache(tmp_path))
+        _run(
+            bench, workload, on_failure="quarantine",
+            fault_plan=FaultPlan.parse("raise@1x9"), **knobs,
+        )
+        tracer, log = Tracer(), EventLog()
+        rec = _run(bench, workload, tracer=tracer, events=log, **knobs).record
+        assert rec.resumed_chunks == 3
+        completed = [
+            Event.from_dict(e) for e in rec.events if e["name"] == ev.CHUNK_COMPLETED
+        ]
+        restored = [e for e in completed if e.data.get("resumed")]
+        assert len(restored) == 3 and all(e.pid is None for e in restored)
+        executed = {e.pid for e in completed if not e.data.get("resumed")}
+        # only the pool worker that ran the poisoned chunk again
+        assert {w.pid for w in rec.workers} == executed
+        assert os.getpid() not in executed
+        assert sum(w.chunks for w in rec.workers) == len(rec.chunks) - 3
+        assert [(c.start, c.stop) for c in rec.chunks if c.worker is None] == [
+            (0, 2), (4, 6), (6, 8)
+        ]
+        status = status_from_events([Event.from_dict(e) for e in rec.events])
+        assert status["chunks"]["done"] == len(rec.chunks)
+        # the trace draws and names no track for them, and their markers
+        # still land on a process track
+        doc = tracer.to_chrome(log.events)["traceEvents"]
+        assert {e["pid"] for e in doc if e.get("cat") == "chunk"} == executed
+        assert all(isinstance(e["pid"], int) for e in doc)
+
+
 #: Traced runs: the jobs=1 fast path, a pool retry, a chunked serial
 #: backend and a rerun over a checkpoint.
 TRACED = {
