@@ -6,10 +6,11 @@ read-haplotype pairs of a genome region in lockstep along anti-diagonals
 (wavefront intra-task parallelism, paper Fig. 2d), computing in float32
 and re-running underflowing pairs in float64 -- the same
 single-precision-with-double-rescue scheme as GATK's AVX kernel.  Its
-state is stored as (read row, lane), so each anti-diagonal's rows are one
-contiguous slice, and each diagonal's emission priors are derived from
-the read codes against a reversed haplotype code array instead of a
-precomputed per-pair prior tensor.
+state is stored as (read row, lane) in three rotating buffers per state,
+so each anti-diagonal's rows are one contiguous slice, and each
+diagonal's emission priors are picked from per-read ``1 - err`` and
+``err / 3`` columns where the read codes agree with a reversed haplotype
+code array.
 
 Recurrences (paper Section III)::
 
@@ -28,9 +29,8 @@ import math
 import numpy as np
 
 from repro.core.instrument import Instrumentation
-from repro.phmm.model import HMMParameters, emission_priors
+from repro.phmm.model import HMMParameters, emission_priors, read_priors
 from repro.sequence.alphabet import encode
-from repro.sequence.quality import phred_to_prob
 
 #: Below this float32 result the engine recomputes the pair in float64.
 UNDERFLOW_THRESHOLD = 1e-28
@@ -141,14 +141,9 @@ class BatchedPairHMM:
         miss = np.zeros(shape, dtype=dtype)
         hap_rev = np.zeros((n_max, B), dtype=np.uint8)
         for b, (read, quals, hap) in enumerate(pairs):
-            if len(quals) != len(read):
-                raise ValueError("one quality per read base required")
-            m = len(read)
-            read_codes[1 : m + 1, b] = encode(read)
+            span = slice(1, len(read) + 1)
+            read_codes[span, b], hit[span, b], miss[span, b] = read_priors(read, quals)
             hap_rev[n_max - len(hap) :, b] = encode(hap)[::-1]
-            err = phred_to_prob(quals)
-            hit[1 : m + 1, b] = 1.0 - err
-            miss[1 : m + 1, b] = err / 3.0
         # state arrays indexed (read row i, lane) along each anti-diagonal,
         # three per state: diagonals d - 2, d - 1 and d live in buffers
         # d % 3.  A cell outside a pair's rectangle never feeds one inside

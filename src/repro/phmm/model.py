@@ -51,18 +51,29 @@ class HMMParameters:
         }
 
 
-def emission_priors(read: str, qualities: np.ndarray, haplotype: str) -> np.ndarray:
-    """Prior probability matrix ``P[i, j]`` of emitting read base ``i``
-    against haplotype base ``j``.
+def read_priors(
+    read: str, qualities: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A read's base codes and the two priors each base can take.
 
-    ``1 - err_i`` when the bases agree, ``err_i / 3`` otherwise, where
-    ``err_i`` comes from the read's Phred quality -- exactly GATK's
-    prior.  Shape is ``(len(read), len(haplotype))``.
+    Returns ``(codes, hit, miss)``: base ``i`` is emitted with prior
+    ``hit[i] = 1 - err_i`` against an agreeing haplotype base and
+    ``miss[i] = err_i / 3`` otherwise, where ``err_i`` comes from the
+    read's Phred quality -- exactly GATK's prior.
     """
     if len(qualities) != len(read):
         raise ValueError("one quality per read base required")
-    r = encode(read)
-    h = encode(haplotype)
+    codes = encode(read)
     err = phred_to_prob(qualities)
-    match = r[:, None] == h[None, :]
-    return np.where(match, (1.0 - err)[:, None], (err / 3.0)[:, None])
+    return codes, 1.0 - err, err / 3.0
+
+
+def emission_priors(read: str, qualities: np.ndarray, haplotype: str) -> np.ndarray:
+    """Prior probability matrix ``P[i, j]`` of emitting read base ``i``
+    against haplotype base ``j`` (see :func:`read_priors`).
+
+    Shape is ``(len(read), len(haplotype))``.
+    """
+    codes, hit, miss = read_priors(read, qualities)
+    match = codes[:, None] == encode(haplotype)[None, :]
+    return np.where(match, hit[:, None], miss[:, None])

@@ -90,9 +90,12 @@ def count_region(
         lengths = np.array(op_lengths, dtype=np.int64)
         ref_steps = np.where(_ADVANCES_REF[kinds], lengths, 0)
         ref_ends = rec.pos + np.cumsum(ref_steps)
-        # the record's reference span [pos, ref_ends[-1]) must share a
-        # base with the region (a CIGAR consuming no reference shares none)
-        if max(rec.pos, start) >= min(int(ref_ends[-1]), end):
+        rec_end = int(ref_ends[-1])
+        if rec_end == rec.pos:
+            raise ValueError(f"record {rec.qname}: CIGAR {rec.cigar} spans no reference")
+        # the record's reference span [pos, rec_end) must share a base
+        # with the region
+        if max(rec.pos, start) >= min(rec_end, end):
             continue
         pile.n_records += 1
         strand = 1 if rec.is_reverse else 0

@@ -136,6 +136,16 @@ class TestHandBuilt:
         assert instr.counts.total == 0
         assert count_region(HAND_BUILT[-2:], REGION).n_records == 2
 
+    @pytest.mark.parametrize("cigar", ["4S", "4I", "2S2I"])
+    def test_record_spanning_no_reference_raises(self, cigar):
+        # a mapped record needs a reference span, inside the region or not
+        for pos in (12, 40):
+            bad = record(pos, cigar, "ACGT")
+            with pytest.raises(ValueError):
+                count_region_per_op([bad], REGION)
+            with pytest.raises(ValueError, match="spans no reference"):
+                count_region([bad], REGION)
+
     def test_op_counts_match_per_record_accounting(self):
         instr, want = Instrumentation(counts=OpCounts()), Instrumentation(counts=OpCounts())
         count_region(HAND_BUILT, REGION, instr=instr)
